@@ -22,6 +22,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -101,10 +102,15 @@ class Operation {
 
   int class_id() const noexcept { return class_id_; }
 
-  // Resets the descriptor for a fresh execution. Must only be called by the
-  // owner when no other thread can reference the descriptor.
+  // Resets the descriptor for a fresh execution. Called by the owner once
+  // its previous execution is Done. A delegating combiner's fallback sweep
+  // may still load and CAS the status of a group's assignee after the
+  // delegate finished the group and the owner moved on (DESIGN.md §13.1),
+  // so the reset is an atomic store, not a plain init.
   void prepare() noexcept {
-    status_.init(static_cast<std::uint32_t>(OpStatus::UnAnnounced));
+    // plain: only the owner speculates on its op's status, and it is not
+    // in a transaction between executions.
+    status_.store_plain(static_cast<std::uint32_t>(OpStatus::UnAnnounced));
     completed_phase_ = Phase::Private;
     owner_slot_ = util::this_thread_id();
     delegate_group_.store(nullptr, std::memory_order_relaxed);
@@ -129,9 +135,10 @@ class Operation {
     return static_cast<OpStatus>(status_.read() & kStatusMask);
   }
 
-  // Owner announces before publishing; sequenced before any transaction
-  // that subscribes to the status, so a plain store suffices.
+  // Owner announces before publishing.
   void mark_announced() noexcept {
+    // plain: only the owner speculates on its op's status, and this store
+    // is sequenced before the owner's first transaction that reads it.
     status_.store_plain(static_cast<std::uint32_t>(OpStatus::Announced));
   }
 
@@ -148,13 +155,22 @@ class Operation {
     status_.store(static_cast<std::uint32_t>(OpStatus::BeingHelped));
   }
 
+  // A combiner's selection of its *own* op. Nothing to doom, so the
+  // transition skips the orec and both clock bumps mark_being_helped pays.
+  void mark_selected_by_owner() noexcept {
+    // plain: only the owner speculates on its op's status, and the owner
+    // is the combiner calling this, outside any transaction.
+    status_.store_plain(static_cast<std::uint32_t>(OpStatus::BeingHelped));
+  }
+
   // Completion: record where the op completed, then release the owner.
-  // Plain release exchange — by this point the owner cannot be speculating
-  // on the operation (it was doomed at mark_being_helped, or it is us).
   // The displaced value tells us whether the owner parked on the status
   // word (wait_done below); only then does the wake syscall fire.
   void mark_done(Phase phase) noexcept {
     completed_phase_ = phase;
+    // plain: the owner cannot be speculating on the op any more. It was
+    // doomed at selection (mark_being_helped, or the selection-lock
+    // acquire it subscribes to before reading its status), or it is us.
     const std::uint32_t old =
         status_.exchange_plain(static_cast<std::uint32_t>(OpStatus::Done));
     if ((old & kParkedBit) != 0) util::wake_all(status_.wait_address());
@@ -200,6 +216,8 @@ class Operation {
   void mark_delegated(DelegateGroup<DS>* group) noexcept {
     assert(status() == OpStatus::BeingHelped);
     delegate_group_.store(group, std::memory_order_release);
+    // plain: the op is BeingHelped, so its owner's speculation on the
+    // status was doomed when it was selected.
     const std::uint32_t old = status_.exchange_plain(
         static_cast<std::uint32_t>(OpStatus::Delegated));
     if ((old & kParkedBit) != 0) util::wake_all(status_.wait_address());
@@ -257,6 +275,31 @@ class Operation {
     }
   }
 
+  // ---- visible-attempt gate (DESIGN.md §7.4) ----
+  // The owner's visible attempt runs run_seq, whose writes to this
+  // descriptor's own fields (results) are plain stores, not buffered
+  // transactional writes. Real HTM would discard them with the doomed
+  // attempt; the simulator cannot. A combiner therefore never selects an
+  // op while its owner is inside a visible attempt: the owner raises the
+  // gate before the attempt and lowers it after, and selection skips raised
+  // gates. Lowering releases every write of the attempt to the combiner
+  // that later observes the gate down.
+  void enter_visible_attempt() noexcept {
+    visible_attempt_.store(true, std::memory_order_relaxed);
+    // seq_cst: Dekker/store-buffering pair with the fence a combiner's
+    // selection-lock acquire issues (htm::wait_writeback_drain) before it
+    // scans. Either the combiner sees the gate raised and skips the op, or
+    // this attempt's subscription sees the selection lock held (or, once
+    // released, the op no longer Announced) and aborts before run_seq.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+  }
+  void leave_visible_attempt() noexcept {
+    visible_attempt_.store(false, std::memory_order_release);
+  }
+  bool in_visible_attempt() const noexcept {
+    return visible_attempt_.load(std::memory_order_acquire);
+  }
+
   // Valid once status() == Done (or after the owner completed it itself).
   Phase completed_phase() const noexcept { return completed_phase_; }
 
@@ -281,6 +324,9 @@ class Operation {
   // read by the claim winner. Raw atomic — never accessed transactionally.
   std::atomic<DelegateGroup<DS>*> delegate_group_{
       nullptr};  // lint:allow(raw-atomic-in-core)
+  // Visible-attempt gate: written by the owner, read by selecting
+  // combiners. Raw atomic — never accessed transactionally.
+  std::atomic<bool> visible_attempt_{false};  // lint:allow(raw-atomic-in-core)
 };
 
 // Sorts a selected batch by combine_key so run_multi receives ready-made

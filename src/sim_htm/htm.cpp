@@ -31,7 +31,7 @@ std::atomic<std::uint64_t>* orec_table() noexcept {
 
 // Each global clock gets a private cache line: the version clock is the
 // single hottest shared word in the system and must not false-share with
-// the drain counter or the (read-mostly) strong clock.
+// the (read-mostly) strong clock.
 std::atomic<std::uint64_t>& global_clock() noexcept {
   static util::CacheAligned<std::atomic<std::uint64_t>> clock;
   return clock.value;
@@ -42,9 +42,12 @@ std::atomic<std::uint64_t>& strong_clock() noexcept {
   return clock.value;
 }
 
-std::atomic<std::uint64_t>& writeback_count() noexcept {
-  static util::CacheAligned<std::atomic<std::uint64_t>> count;
-  return count.value;
+// One line per thread id: a committer writes only its own line, so the
+// commit path touches no line shared with other committers.
+std::atomic<std::uint32_t>& writeback_flag(std::size_t tid) noexcept {
+  static util::CacheAligned<std::atomic<std::uint32_t>>
+      flags[util::kMaxThreads];
+  return flags[tid].value;
 }
 
 Txn& txn() noexcept {
@@ -262,18 +265,21 @@ void commit_txn(Txn& t) {
 
   if (!acquire_write_orecs(t)) throw_abort(AbortCode::Conflict);
 
-  // Register as a write-back in progress *before* the final validation:
-  // elidable-lock acquirers first doom future validators (by bumping the
-  // lock word's orec) and then wait for this counter to drain, which
-  // together guarantee no write-back overlaps under-lock execution.
-  writeback_count().fetch_add(1, std::memory_order_relaxed);
+  // Raise our write-back flag *before* the final validation: elidable-lock
+  // acquirers first doom future validators (by bumping the lock word's
+  // orec) and then wait for every raised flag to fall, which together
+  // guarantee no write-back overlaps under-lock execution. The flag is
+  // ours alone, so this is a plain store to a line no other committer
+  // touches.
+  auto& flag = writeback_flag(t.tid);
+  flag.store(1, std::memory_order_relaxed);
   // seq_cst: Dekker/store-buffering pair with the fence in
-  // wait_writeback_drain(). Either the drainer's counter load observes our
-  // increment (it waits for our fetch_sub), or this fence follows the
-  // drainer's in the fence order and our validation below observes the
-  // lock word's bumped orec (stored before the drainer's fence) and
-  // aborts. acquire/release alone cannot order these two store→load pairs;
-  // see DESIGN.md §"Substrate performance" and
+  // wait_writeback_drain(). Either the drainer's flag load observes our
+  // raise (it waits for our clear), or this fence follows the drainer's in
+  // the fence order and our validation below observes the lock word's
+  // bumped orec (stored before the drainer's fence) and aborts.
+  // acquire/release alone cannot order these two store→load pairs; see
+  // DESIGN.md §"Substrate performance" and
   // HtmQuiescence.LockHolderNeverSeesPartialWriteback.
   std::atomic_thread_fence(std::memory_order_seq_cst);
 
@@ -290,7 +296,7 @@ void commit_txn(Txn& t) {
   // will see our locks when it validates. The read set is trivially valid.
   if (wv != t.snapshot_epoch + 1 &&
       !validate_read_set(t, tx_lock_word(t.tid))) {
-    writeback_count().fetch_sub(1, std::memory_order_release);
+    flag.store(0, std::memory_order_release);
     release_acquired(t, /*new_word=*/0);
     throw_abort(AbortCode::Conflict);
   }
@@ -302,11 +308,10 @@ void commit_txn(Txn& t) {
   // new version finds the clock at ≥ wv and revalidates against it.
   release_acquired(t, /*new_word=*/wv << 1);
   // Publish the completed write-back to lock acquirers spinning in
-  // wait_writeback_drain (they HCF_TSAN_ACQUIRE the counter on exit).
-  HCF_TSAN_RELEASE(&writeback_count());
-  // release: the drainer's acquire load of 0 imports our write-back (the
-  // RMW release sequence keeps this intact across interleaved committers).
-  writeback_count().fetch_sub(1, std::memory_order_release);
+  // wait_writeback_drain (they HCF_TSAN_ACQUIRE each flag on exit).
+  HCF_TSAN_RELEASE(&flag);
+  // release: the drainer's acquire load of 0 imports our write-back.
+  flag.store(0, std::memory_order_release);
 
   finish_commit_bookkeeping(t);
   telemetry::htm_commit(/*read_only=*/false);
@@ -394,25 +399,35 @@ void strong_unlock_orec(std::atomic<std::uint64_t>& orec, std::uint64_t ver,
 void wait_writeback_drain() noexcept {
   // seq_cst: Dekker/store-buffering pair with the fence in commit_txn().
   // Our caller already stored the doom (bumped lock-word orec) before
-  // calling; this fence orders that store before the counter loads below,
-  // so every committer either sees the doom during validation or is seen
+  // calling; this fence orders that store before the flag loads below, so
+  // every committer either sees the doom during validation or is seen
   // here and drained. See DESIGN.md §"Substrate performance".
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  auto& count = detail::writeback_count();
-  if (count.load(std::memory_order_acquire) != 0) {
-    // Write-backs are a bounded store loop, so the drain is short; the
-    // small cap bounds added lock-acquisition latency while still taking
-    // the counter line out of the spin loop's cache traffic.
-    util::ExpBackoff backoff(
-        util::this_thread_id() * 0x9e3779b97f4a7c15ULL + 1,
-        /*min_spins=*/4, /*max_spins=*/128);
-    do {
-      backoff.pause();
-    } while (count.load(std::memory_order_acquire) != 0);
+  // Ids at or above the high-water mark have never been handed out, so
+  // their flags were never raised. A committer whose fence precedes ours
+  // raised the mark before its first transaction, and the fence pair makes
+  // that raise visible to this load.
+  const std::size_t ids = util::ThreadRegistry::instance().high_water();
+  for (std::size_t tid = 0; tid < ids; ++tid) {
+    auto& flag = detail::writeback_flag(tid);
+    if (flag.load(std::memory_order_acquire) != 0) {
+      // Write-backs are a bounded store loop, so the drain is short; the
+      // small cap bounds added lock-acquisition latency while still taking
+      // the flag line out of the spin loop's cache traffic. One observed
+      // clear suffices: the committer's next raise is ordered after our
+      // fence, so its validation sees the doom.
+      util::ExpBackoff backoff(
+          util::this_thread_id() * 0x9e3779b97f4a7c15ULL + 1,
+          /*min_spins=*/4, /*max_spins=*/128);
+      do {
+        backoff.pause();
+      } while (flag.load(std::memory_order_acquire) != 0);
+    }
+    // Quiescence gate: everything this id's drained transaction wrote back
+    // is now visible to this (lock-holding) thread's uninstrumented
+    // accesses.
+    HCF_TSAN_ACQUIRE(&flag);
   }
-  // Quiescence gate: everything written back by the drained transactions is
-  // now visible to this (lock-holding) thread's uninstrumented accesses.
-  HCF_TSAN_ACQUIRE(&count);
 }
 
 }  // namespace hcf::htm

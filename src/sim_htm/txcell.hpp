@@ -1,8 +1,10 @@
 // TxCell<T>: a shared word accessed both transactionally (subscription
 // reads, transactional removal of publication slots) and non-transactionally
-// (lock acquisition, status transitions). All mutations funnel through the
-// strong orec protocol so they doom overlapping transactions — the
-// simulator's equivalent of a cache-line invalidation under real HTM.
+// (lock acquisition, status transitions). Mutations that must doom
+// overlapping transactions funnel through the strong orec protocol — the
+// simulator's equivalent of a cache-line invalidation under real HTM. The
+// plain mutators are for words no live transaction can hold in its read
+// set; DESIGN.md §7.4 lists every mutation site and which kind it uses.
 //
 // TxField<T>: a data-structure field with transparent instrumentation.
 // Reads/writes go through htm::read / htm::write, which fall through to

@@ -113,5 +113,94 @@ TYPED_TEST(EnginePqTest, DrainReturnsSortedKeys) {
   mem::EbrDomain::instance().drain();
 }
 
+// Exactly-once stress of the paper's PQ configuration on HcfEngine: four
+// threads run an exact 50/50 insert/remove_min mix against a prefilled
+// queue, so remove_min combines while insert commits privately. The
+// prefill outlasts every remove, so each remove_min must return a key. At
+// the end the queue must hold prefill + inserted - removed keys, by count
+// and by key sum: a lost, duplicated or twice-applied op breaks one of the
+// two. The drain also checks ascending order.
+TEST(HcfPqStress, FiftyFiftyExactlyOnceKeySumAudit) {
+  constexpr int kStressThreads = 4;
+  constexpr int kStressOps = 20000;  // per thread, half of them removes
+  constexpr std::uint64_t kPrefill = kStressThreads * kStressOps / 2 + 512;
+  constexpr std::uint64_t kKeyRange = 1 << 20;
+
+  Pq pq;
+  util::Xoshiro256 prefill_rng(4242);
+  std::uint64_t prefill_sum = 0;
+  for (std::uint64_t i = 0; i < kPrefill; ++i) {
+    const std::uint64_t key = prefill_rng.next_bounded(kKeyRange);
+    pq.insert(key);
+    prefill_sum += key;
+  }
+  core::HcfEngine<Pq> engine(pq, adapters::pq_paper_config(),
+                             adapters::kPqNumArrays);
+
+  struct Tally {
+    std::uint64_t inserted = 0;
+    std::uint64_t inserted_sum = 0;
+    std::uint64_t removed = 0;
+    std::uint64_t removed_sum = 0;
+    std::uint64_t empty_removes = 0;
+  };
+  std::vector<Tally> tallies(kStressThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kStressThreads; ++t) {
+    threads.emplace_back([&, t] {
+      util::Xoshiro256 rng(9000 + t);
+      adapters::PqInsertOp<std::uint64_t> insert;
+      adapters::PqRemoveMinOp<std::uint64_t> remove_min;
+      Tally& tally = tallies[t];
+      for (int i = 0; i < kStressOps; ++i) {
+        if (i % 2 == 0) {
+          const std::uint64_t key = rng.next_bounded(kKeyRange);
+          insert.set(key);
+          engine.execute(insert);
+          ++tally.inserted;
+          tally.inserted_sum += key;
+        } else {
+          engine.execute(remove_min);
+          if (remove_min.result().has_value()) {
+            ++tally.removed;
+            tally.removed_sum += *remove_min.result();
+          } else {
+            ++tally.empty_removes;
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  Tally total;
+  for (const Tally& tally : tallies) {
+    total.inserted += tally.inserted;
+    total.inserted_sum += tally.inserted_sum;
+    total.removed += tally.removed;
+    total.removed_sum += tally.removed_sum;
+    total.empty_removes += tally.empty_removes;
+  }
+  EXPECT_EQ(total.empty_removes, 0u);
+
+  std::uint64_t left = 0;
+  std::uint64_t left_sum = 0;
+  std::uint64_t prev = 0;
+  bool ascending = true;
+  while (auto k = pq.remove_min()) {
+    ascending &= (left == 0 || *k >= prev);
+    prev = *k;
+    ++left;
+    left_sum += *k;
+  }
+  EXPECT_TRUE(ascending);
+  EXPECT_EQ(left, kPrefill + total.inserted - total.removed);
+  EXPECT_EQ(left_sum, prefill_sum + total.inserted_sum - total.removed_sum);
+  const auto snap = core::EngineStatsSnapshot::capture(engine.stats());
+  EXPECT_EQ(snap.total(),
+            static_cast<std::uint64_t>(kStressThreads) * kStressOps);
+  mem::EbrDomain::instance().drain();
+}
+
 }  // namespace
 }  // namespace hcf::test

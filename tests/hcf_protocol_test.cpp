@@ -1,6 +1,6 @@
 // HCF protocol-level properties: exactly-once execution under contention,
-// phase accounting, helping, policy degenerations (TLE-like / FC-like), and
-// the single-combiner variant.
+// phase accounting, helping, policy degenerations (TLE-like / FC-like), the
+// single-combiner variant, and which protocol stores take the strong path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +9,10 @@
 
 #include "core/engine.hpp"
 #include "mem/ebr.hpp"
+#include "sync/tx_lock.hpp"
 #include "util/rng.hpp"
+#include "util/thread_annotations.hpp"
+#include "util/thread_id.hpp"
 
 namespace hcf::core {
 namespace {
@@ -84,6 +87,185 @@ TEST(HcfProtocol, ExactlyOnceSingleCombinerVariant) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(ds.value.get(), static_cast<std::uint64_t>(kThreads) * kOps);
+  mem::EbrDomain::instance().drain();
+}
+
+// A pause point: the armed thread parks there once, until the test
+// releases it. Hooks in the gated locks below call maybe_pause(). reset()
+// runs on the test's main thread before any worker starts, so a stale
+// `reached` from an earlier test can never satisfy wait_reached().
+class PausePoint {
+ public:
+  void reset() {
+    armed_for_ = kNobody;
+    reached_ = false;
+    released_ = false;
+  }
+  void arm_for_this_thread() { armed_for_ = util::this_thread_id(); }
+  void maybe_pause() {
+    if (armed_for_.load() != util::this_thread_id()) return;
+    armed_for_ = kNobody;
+    reached_ = true;
+    while (!released_.load()) std::this_thread::yield();
+  }
+  void wait_reached() const {
+    while (!reached_.load()) std::this_thread::yield();
+  }
+  void release() { released_ = true; }
+
+ private:
+  static constexpr std::size_t kNobody = ~std::size_t{0};
+  std::atomic<std::size_t> armed_for_{kNobody};
+  std::atomic<bool> reached_{false};
+  std::atomic<bool> released_{false};
+};
+
+struct Pauses {
+  // Return of the selection lock's wait_until_free (SingleHolder owners
+  // call it right before a visible attempt).
+  static inline PausePoint sel_free;
+  // Entry of the selection lock's transactional subscribe(), before the
+  // lock word is read: inside the owner's visible attempt.
+  static inline PausePoint sel_subscribe;
+  // Return of the data-structure lock's wait_until_free (a combiner calls
+  // it right before each combining transaction).
+  static inline PausePoint ds_free;
+
+  static void reset() {
+    sel_free.reset();
+    sel_subscribe.reset();
+    ds_free.reset();
+  }
+};
+
+class CAPABILITY("elidable_lock") GatedSelectionLock : public sync::TxLock {
+ public:
+  void wait_until_free(
+      util::WaitPolicy p = util::WaitPolicy::SpinYield) const noexcept {
+    sync::TxLock::wait_until_free(p);
+    Pauses::sel_free.maybe_pause();
+  }
+  void subscribe() const ASSERT_SHARED_CAPABILITY(this) {
+    Pauses::sel_subscribe.maybe_pause();
+    sync::TxLock::subscribe();
+  }
+};
+
+class CAPABILITY("elidable_lock") GatedDsLock : public sync::TxLock {
+ public:
+  void wait_until_free(
+      util::WaitPolicy p = util::WaitPolicy::SpinYield) const noexcept {
+    sync::TxLock::wait_until_free(p);
+    Pauses::ds_free.maybe_pause();
+  }
+};
+
+// Class 0 (the owner): one visible attempt, then combining. Class 1 (the
+// combiner): announce and combine at once. Both share array 0.
+std::vector<ClassConfig> owner_and_combiner_classes() {
+  return {ClassConfig{0, PhasePolicy{0, 1, 5, true}},
+          ClassConfig{0, PhasePolicy::combine_first()}};
+}
+
+// Regression: a SingleHolder combiner never strong-stores an op's status
+// and mark_done is plain, so an owner whose visible attempt read its
+// status before subscribing to the selection lock could extend its
+// snapshot past a whole combining session that applied the op, then apply
+// it a second time. Replayed deterministically: the combiner selects the
+// owner's op and pauses before applying it; the owner then enters its
+// visible attempt and pauses at its selection-lock subscription until the
+// combiner's session is over.
+TEST(HcfProtocol, SingleHolderOwnerNeverReappliesAnOpItsCombinerApplied) {
+  HotSpot ds;
+  HcfSingleCombinerEngine<HotSpot, GatedDsLock, GatedSelectionLock> engine(
+      ds, owner_and_combiner_classes(), 1);
+  CountedIncOp owner_op(0);
+  CountedIncOp combiner_op(1);
+  Pauses::reset();
+
+  std::thread owner([&] {
+    Pauses::sel_free.arm_for_this_thread();
+    Pauses::sel_subscribe.arm_for_this_thread();
+    engine.execute(owner_op);
+  });
+  // Announced, about to start its visible attempt.
+  Pauses::sel_free.wait_reached();
+  std::thread combiner([&] {
+    Pauses::ds_free.arm_for_this_thread();
+    engine.execute(combiner_op);
+  });
+  // Selection lock held, owner's op selected, nothing applied yet.
+  Pauses::ds_free.wait_reached();
+  Pauses::sel_free.release();
+  Pauses::sel_subscribe.wait_reached();
+  // The owner's attempt is open; let the combiner finish its session.
+  Pauses::ds_free.release();
+  combiner.join();
+  EXPECT_EQ(owner_op.executions(), 1u) << "the combiner applies the owner's op";
+  Pauses::sel_subscribe.release();
+  owner.join();
+
+  EXPECT_EQ(owner_op.executions(), 1u);
+  EXPECT_EQ(combiner_op.executions(), 1u);
+  EXPECT_EQ(ds.value.get(), 2u);
+  const auto snap = EngineStatsSnapshot::capture(engine.stats());
+  EXPECT_EQ(snap.helped_ops, 1u);
+  EXPECT_EQ(snap.phase_total(Phase::Visible), 0u);
+  mem::EbrDomain::instance().drain();
+}
+
+// The visible-attempt gate: a combiner never selects an op while its
+// owner is inside a visible attempt, because the doomed attempt may still
+// write the descriptor's result fields with plain stores. The owner is
+// paused inside its attempt while a combiner runs a whole session; the
+// combiner must leave the owner's op alone, and the owner then commits it.
+TEST(HcfProtocol, CombinerSkipsAnOpWhoseOwnerIsMidAttempt) {
+  HotSpot ds;
+  HcfEngine<HotSpot, sync::TxLock, GatedSelectionLock> engine(
+      ds, owner_and_combiner_classes(), 1);
+  CountedIncOp owner_op(0);
+  CountedIncOp combiner_op(1);
+  Pauses::reset();
+
+  std::thread owner([&] {
+    Pauses::sel_subscribe.arm_for_this_thread();
+    engine.execute(owner_op);
+  });
+  Pauses::sel_subscribe.wait_reached();
+  engine.execute(combiner_op);
+  EXPECT_EQ(owner_op.executions(), 0u);
+  EXPECT_EQ(EngineStatsSnapshot::capture(engine.stats()).helped_ops, 0u);
+  Pauses::sel_subscribe.release();
+  owner.join();
+
+  EXPECT_EQ(owner_op.executions(), 1u);
+  EXPECT_EQ(combiner_op.executions(), 1u);
+  EXPECT_EQ(ds.value.get(), 2u);
+  const auto snap = EngineStatsSnapshot::capture(engine.stats());
+  EXPECT_EQ(snap.helped_ops, 0u);
+  EXPECT_EQ(snap.phase_total(Phase::Visible), 1u);
+  mem::EbrDomain::instance().drain();
+}
+
+// A combining session that helps nobody pays exactly the selection lock's
+// acquire and release on the strong path. Announcing, the combiner's
+// transition of its own op and unpublishing its own slot doom no live
+// transaction, so they are plain stores.
+TEST(HcfProtocol, LoneCombineFirstSessionMakesTwoStrongStores) {
+  HotSpot ds;
+  HcfEngine<HotSpot> engine(ds, PhasePolicy::combine_first());
+  CountedIncOp op;
+  engine.execute(op);  // first use: thread registration, pool warm-up
+  const auto before = htm::StatsSnapshot::capture();
+  const auto core_before = EngineStatsSnapshot::capture(engine.stats());
+  engine.execute(op);
+  const auto delta = htm::StatsSnapshot::capture().delta_since(before);
+  const auto core =
+      EngineStatsSnapshot::capture(engine.stats()).delta_since(core_before);
+  EXPECT_EQ(core.combiner_sessions, 1u);
+  EXPECT_EQ(core.ops_selected, 1u);
+  EXPECT_EQ(delta.strong_stores, 2u);
+  EXPECT_EQ(ds.value.get(), 2u);
   mem::EbrDomain::instance().drain();
 }
 

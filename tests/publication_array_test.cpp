@@ -218,6 +218,24 @@ TEST(PublicationArrayOccupancy, ClearSlotClearsBit) {
             0u);
 }
 
+// No live transaction holds a publication slot in its read set, so
+// announcing and unpublishing doom nobody: neither may take the strong
+// path (orec CAS plus version- and strong-clock bumps).
+TEST(PublicationArray, AddAndClearSlotMakeNoStrongStores) {
+  PublicationArray<NullDs> pa;
+  NoopOp op;
+  const std::size_t self = util::this_thread_id();
+  pa.selection_lock().lock();
+  const auto before = htm::StatsSnapshot::capture();
+  pa.add(&op);
+  EXPECT_EQ(pa.peek(self), &op);
+  pa.clear_slot(self);
+  EXPECT_EQ(pa.peek(self), nullptr);
+  const auto delta = htm::StatsSnapshot::capture().delta_since(before);
+  pa.selection_lock().unlock();
+  EXPECT_EQ(delta.strong_stores, 0u);
+}
+
 TEST(PublicationArrayOccupancy, CollectAnnouncedSelectsAndUnpublishes) {
   PublicationArray<NullDs> pa;
   NoopOp op;

@@ -58,6 +58,31 @@ TEST(ThreadId, RecycledAfterThreadExit) {
   }
 }
 
+TEST(ThreadId, HighWaterCoversEveryIdHandedOut) {
+  auto& reg = ThreadRegistry::instance();
+  EXPECT_GT(reg.high_water(), this_thread_id());
+  std::size_t other = 0;
+  std::thread t([&] { other = this_thread_id(); });
+  t.join();
+  // Monotone: the exited thread's id stays covered after it is recycled.
+  EXPECT_GT(reg.high_water(), other);
+  EXPECT_LE(reg.high_water(), kMaxThreads);
+}
+
+TEST(ThreadIdDeathTest, ExhaustionAbortsWithDiagnostic) {
+  // Claiming one id more than kMaxThreads must fail loudly in every build
+  // type, never spin. Ids are claimed directly (no threads needed); the
+  // death test's child process owns the exhausted registry.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        for (std::size_t i = 0; i <= kMaxThreads; ++i) {
+          (void)ThreadRegistry::instance().acquire();
+        }
+      },
+      "thread id space exhausted");
+}
+
 TEST(Counter, PerThreadAggregation) {
   Counter c;
   c.add(5);

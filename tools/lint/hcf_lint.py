@@ -38,6 +38,14 @@ compiler dependency, by design):
                          the same line or in the comment block directly
                          above — the substrate runs on acquire/release,
                          and each seq_cst is a proof obligation
+  plain-store-justification
+                         every TxCell store_plain / exchange_plain call in
+                         src/core/ must carry a '// plain:' comment on the
+                         same line or in the comment block directly above
+                         its statement, saying why no live transaction can
+                         hold the word in its read set — a plain store
+                         dooms nobody, and which store must doom which
+                         subscriber is exactly where this protocol breaks
   phase-telemetry-pairing
                          in src/core/, every telemetry::phase_enter must
                          be lexically paired with a later
@@ -136,6 +144,8 @@ RULES: dict[str, str] = {
     "tx-telemetry-call": "no telemetry:: calls in a transaction body",
     "seq-cst-justification":
         "memory_order_seq_cst in src/sim_htm/ needs a '// seq_cst:' comment",
+    "plain-store-justification":
+        "store_plain/exchange_plain in src/core/ needs a '// plain:' comment",
     "phase-telemetry-pairing":
         "phase_enter needs a matching phase_exit with no return between",
     "scan-requires-selection-lock":
@@ -216,6 +226,9 @@ SUBSCRIBE_RE = re.compile(r"\bsubscribe\s*\(\s*\)")
 
 SEQ_CST_RE = re.compile(r"\bmemory_order_seq_cst\b")
 SEQ_CST_JUSTIFICATION_RE = re.compile(r"//\s*seq_cst:")
+
+PLAIN_STORE_RE = re.compile(r"(?:\.|->)\s*(store_plain|exchange_plain)\s*\(")
+PLAIN_JUSTIFICATION_RE = re.compile(r"//\s*plain:")
 
 # Member calls only (pa.for_each_announced(...)): the unqualified uses
 # inside PublicationArray itself document their precondition in place.
@@ -490,6 +503,34 @@ class FileLinter:
         """True if raw line `line` (1-based) carries a '// seq_cst:' marker
         or sits directly under a comment block containing one."""
         return self.marker_adjacent(line, SEQ_CST_JUSTIFICATION_RE)
+
+    def check_plain_store_justification(self) -> None:
+        if self.zone != "core":
+            return
+        for m in PLAIN_STORE_RE.finditer(self.stripped):
+            line = self.line_of(m.start())
+            # The marker may sit above a statement that wraps onto the call
+            # line (`const auto old =\n    word.exchange_plain(...)`).
+            if (self.marker_adjacent(line, PLAIN_JUSTIFICATION_RE)
+                    or self.marker_adjacent(self.statement_line(m.start()),
+                                            PLAIN_JUSTIFICATION_RE)):
+                continue
+            self.report(
+                line, "plain-store-justification",
+                f"{m.group(1)} without an adjacent '// plain:' "
+                "justification comment; a plain store dooms no subscriber, "
+                "so each site must say why no live transaction can hold "
+                "the word in its read set (DESIGN.md, TxCell mutation "
+                "sites)")
+
+    def statement_line(self, offset: int) -> int:
+        """Line of the first token of the statement containing `offset`."""
+        i = offset
+        while i > 0 and self.stripped[i - 1] not in ";{}":
+            i -= 1
+        while i < offset and self.stripped[i].isspace():
+            i += 1
+        return self.line_of(i)
 
     def marker_adjacent(self, line: int, rx) -> bool:
         """True if raw line `line` (1-based) matches `rx` or sits directly
@@ -793,6 +834,7 @@ class FileLinter:
         self.check_raw_atomic_in_core()
         self.check_raw_atomic_in_telemetry()
         self.check_seq_cst_justification()
+        self.check_plain_store_justification()
         self.check_tsa_escape_justification()
         self.check_scan_requires_selection_lock()
         self.check_cross_shard_lock_order()
