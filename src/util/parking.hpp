@@ -327,9 +327,10 @@ class TieredWait {
 // ---- parkable epoch -------------------------------------------------------
 // Eventcount over a 32-bit counter: the publication array's combined-count
 // epoch (DESIGN.md §9.3) made parkable. advance() is the combiner-side
-// publish; park_if(seen) is the waiter side, sleeping only while the
-// counter still reads `seen`. The waiters counter keeps the common case
-// (nobody parked) at one load on the publish path.
+// publish; park_if(seen, still_blocked) is the waiter side, sleeping only
+// while the counter still reads `seen` and the caller's condition still
+// holds. The waiters counter keeps the common case (nobody parked) at one
+// load on the publish path.
 class ParkableEpoch {
  public:
   std::uint32_t load() const noexcept {
@@ -339,25 +340,38 @@ class ParkableEpoch {
   // Publish `delta` retired operations and wake any parked cohort.
   void advance(std::uint32_t delta) noexcept {
     value_.fetch_add(delta, std::memory_order_seq_cst);
-    wake_waiters();
-  }
-
-  // Wake parked waiters without moving the counter. Called after lock
-  // releases that end a combining session: a waiter may have parked just
-  // after the session's last advance(), watching a value that will now
-  // never change — the wake sends it back to the competition loop.
-  void wake_waiters() noexcept {
     if (waiters_.load(std::memory_order_seq_cst) != 0) wake_all(value_);
   }
 
-  // Sleep until the counter moves past `seen` (or spuriously). Returns
-  // immediately if it already has. The seq_cst pairing with advance()
-  // closes the Dekker race: our waiter registration is ordered before the
-  // value re-check, the advancer's value bump before its waiter check —
-  // one of the two sides must see the other.
-  void park_if(std::uint32_t seen) noexcept {
+  // Wake parked waiters after the caller released the lock they wait for,
+  // a release that does not advance the counter. A futex wait compares the
+  // word, so a wake that leaves it unchanged is lost on a waiter that has
+  // checked but not yet slept; the counter therefore moves by one whenever
+  // someone is registered. Spinning waiters never register, so they see no
+  // extra motion.
+  void wake_waiters() noexcept {
+    // seq_cst: Dekker pair with the fence in park_if. Either we see the
+    // waiter's registration, or its still_blocked() re-check sees the
+    // release our caller made before this call.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (waiters_.load(std::memory_order_relaxed) == 0) return;
+    value_.fetch_add(1, std::memory_order_seq_cst);
+    wake_all(value_);
+  }
+
+  // Sleep until the counter moves past `seen` (or spuriously; callers
+  // re-check their predicate in a loop). Returns immediately if it already
+  // has, or if `still_blocked()` — the caller's wait condition, re-read
+  // after registering — no longer holds. The seq_cst pairing with
+  // advance() and wake_waiters() closes the Dekker race: our registration
+  // is ordered before the re-checks, the waker's change before its
+  // waiter check, so one of the two sides must see the other.
+  template <typename StillBlocked>
+  void park_if(std::uint32_t seen, StillBlocked&& still_blocked) noexcept {
     waiters_.fetch_add(1, std::memory_order_seq_cst);
-    if (value_.load(std::memory_order_seq_cst) == seen) {
+    // seq_cst: the other half of wake_waiters' fence (see there).
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (value_.load(std::memory_order_seq_cst) == seen && still_blocked()) {
       park(value_, seen);
     }
     waiters_.fetch_sub(1, std::memory_order_relaxed);

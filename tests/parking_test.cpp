@@ -132,7 +132,7 @@ TEST(ParkableEpoch, AdvanceWakesParkedWaiter) {
   ParkableEpoch epoch;
   EXPECT_EQ(epoch.load(), 0u);
   std::thread waiter([&] {
-    while (epoch.load() == 0) epoch.park_if(0);
+    while (epoch.load() == 0) epoch.park_if(0, [] { return true; });
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   epoch.advance(3);
@@ -143,8 +143,47 @@ TEST(ParkableEpoch, AdvanceWakesParkedWaiter) {
 TEST(ParkableEpoch, ParkOnMovedValueReturnsImmediately) {
   ParkableEpoch epoch;
   epoch.advance(5);
-  epoch.park_if(0);  // single-threaded: must not sleep
+  epoch.park_if(0, [] { return true; });  // single-threaded: must not sleep
   EXPECT_EQ(epoch.load(), 5u);
+}
+
+// A wake that lands after a waiter's last check but before its futex
+// wait must not be lost. The waiter's condition callback runs exactly in
+// that window: it holds the waiter there until the wake was sent, then
+// reports the waiter still blocked, so the waiter goes on to sleep. The
+// wake moved the word, so the sleep returns at once.
+TEST(ParkableEpoch, WakeBetweenCheckAndSleepIsNotLost) {
+  ParkableEpoch epoch;
+  std::atomic<bool> in_check{false};
+  std::atomic<bool> wake_sent{false};
+  std::atomic<bool> returned{false};
+  std::thread waiter([&] {
+    epoch.park_if(0, [&] {
+      in_check = true;
+      while (!wake_sent.load()) std::this_thread::yield();
+      return true;
+    });
+    returned = true;
+  });
+  while (!in_check.load()) std::this_thread::yield();
+  epoch.wake_waiters();
+  wake_sent = true;
+  for (int i = 0; i < 2000 && !returned.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool lost = !returned.load();
+  if (lost) epoch.advance(1);  // rescue the sleeper so the thread joins
+  waiter.join();
+  EXPECT_FALSE(lost) << "wake_waiters() was lost on a waiter about to sleep";
+}
+
+// A waiter whose condition cleared (its lock was released before it
+// registered) must not sleep, even though the epoch never moved.
+TEST(ParkableEpoch, ParkSkipsSleepOnceTheConditionCleared) {
+  ParkableEpoch epoch;
+  const std::uint64_t parks_before = park_stats().parks.total();
+  epoch.park_if(0, [] { return false; });  // single-threaded: must not sleep
+  EXPECT_EQ(park_stats().parks.total(), parks_before);
 }
 
 TEST(ParkableEpoch, WakeWaitersWithNobodyParkedIsANoOp) {
