@@ -98,10 +98,9 @@ BENCHMARK(BM_TxnContendedCommit)->Threads(2)->Threads(4)->Threads(8);
 
 // Read-mostly transactions next to an unrelated writer: thread 0 commits
 // write transactions on a private word, the rest run 32-word read-only
-// transactions over untouched data. Under EpochMode::Tick every writer
-// commit forces the readers to revalidate their whole read set; under
-// EpochMode::Sampled the readers never notice the writer.
-void ReadMostlyLoop(benchmark::State& state) {
+// transactions over untouched data. The readers never notice the writer:
+// a read extends its snapshot only when it sees a version past it.
+void BM_TxnReadMostly(benchmark::State& state) {
   static std::uint64_t data[32] = {};
   static util::CacheAligned<std::uint64_t> writer_word;
   if (state.thread_index() == 0) {
@@ -121,24 +120,7 @@ void ReadMostlyLoop(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_TxnReadMostlyTick(benchmark::State& state) { ReadMostlyLoop(state); }
-BENCHMARK(BM_TxnReadMostlyTick)->Threads(4);
-
-void SetSampledMode(const benchmark::State&) {
-  htm::config().epoch_mode.store(htm::EpochMode::Sampled);
-}
-void RestoreTickMode(const benchmark::State&) {
-  htm::config().epoch_mode.store(htm::EpochMode::Tick);
-}
-
-void BM_TxnReadMostlySampled(benchmark::State& state) {
-  ReadMostlyLoop(state);
-}
-BENCHMARK(BM_TxnReadMostlySampled)
-    ->Threads(4)
-    ->Setup(SetSampledMode)
-    ->Teardown(RestoreTickMode);
+BENCHMARK(BM_TxnReadMostly)->Threads(4);
 
 void BM_UninstrumentedRead(benchmark::State& state) {
   static std::uint64_t data[64] = {};
@@ -231,6 +213,22 @@ void BM_TxnConflictAbortCost(benchmark::State& state) {
   lock.unlock();
 }
 BENCHMARK(BM_TxnConflictAbortCost);
+
+void BM_TxnCommitConflictCost(benchmark::State& state) {
+  // Cost of a conflict found at commit: the body buffers a write to a word
+  // whose orec another owner holds, so orec acquisition fails and the
+  // attempt returns without unwinding — the non-throwing twin of the
+  // benchmark above.
+  static std::uint64_t word = 0;
+  auto& orec = htm::detail::orec_for(&word);
+  const std::uint64_t ver = htm::detail::strong_lock_orec(orec);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        htm::attempt([&] { htm::write(&word, std::uint64_t{1}); }));
+  }
+  htm::detail::strong_unlock_orec(orec, ver, /*bump=*/false);
+}
+BENCHMARK(BM_TxnCommitConflictCost);
 
 // Console output plus a side-channel capture of every run, so we can emit
 // the hcf-bench-v1 JSON rows after google-benchmark finishes.

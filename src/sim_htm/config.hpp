@@ -1,6 +1,8 @@
 // Runtime-tunable parameters of the simulated HTM. Capacity limits model
 // the L1-bounded read/write sets of real RTM; tests shrink them to exercise
-// capacity-abort paths deterministically.
+// capacity-abort paths deterministically. The snapshot policy is fixed, not
+// a knob: reads validate locally and extend only on evidence of staleness
+// (htm.hpp, DESIGN.md §8.3).
 #pragma once
 
 #include <atomic>
@@ -22,30 +24,11 @@ inline constexpr std::size_t kOrecCount = std::size_t{1} << kOrecCountLog2;
 // figure workloads, so the window stays at 4; see DESIGN.md §8.
 inline constexpr std::size_t kReadDedupWindow = 4;
 
-// How transactional reads detect that their snapshot may have gone stale
-// (see DESIGN.md §8 "Epoch modes"). Orec versions are derived from one
-// global version clock in both modes, so the modes interoperate and can be
-// switched whenever no transaction is in flight.
-//
-//   * Tick    — every read polls the global clock and fully revalidates the
-//               read set whenever *any* writer committed since the snapshot
-//               (the original, maximally conservative behaviour; read-mostly
-//               transactions pay O(read-set) per unrelated writer commit).
-//   * Sampled — GV-style: a read revalidates only when it actually observes
-//               a version newer than its snapshot, or when the rare-event
-//               strong clock (lock acquisitions / strong stores) moved.
-//               Unrelated writer commits cost read-mostly transactions
-//               nothing, and read-only transactions commit without a final
-//               validation pass.
-enum class EpochMode : std::uint8_t { Tick = 0, Sampled = 1 };
-
 struct Config {
   // Maximum tracked read locations per transaction (≈ L1 lines on RTM).
   std::atomic<std::size_t> read_capacity{8192};
   // Maximum buffered writes per transaction.
   std::atomic<std::size_t> write_capacity{2048};
-  // Snapshot-staleness detection mode, latched per transaction at begin.
-  std::atomic<EpochMode> epoch_mode{EpochMode::Tick};
 };
 
 Config& config() noexcept;
@@ -69,24 +52,6 @@ class ScopedCapacity {
  private:
   std::size_t old_reads_;
   std::size_t old_writes_;
-};
-
-// RAII helper: temporarily overrides the epoch mode. Only switch while no
-// transaction is in flight (each transaction latches the mode at begin; a
-// mid-run switch is safe for *new* transactions but makes stats and abort
-// behaviour a mix of both modes).
-class ScopedEpochMode {
- public:
-  explicit ScopedEpochMode(EpochMode m) noexcept
-      : old_(config().epoch_mode.load()) {
-    config().epoch_mode.store(m);
-  }
-  ~ScopedEpochMode() { config().epoch_mode.store(old_); }
-  ScopedEpochMode(const ScopedEpochMode&) = delete;
-  ScopedEpochMode& operator=(const ScopedEpochMode&) = delete;
-
- private:
-  EpochMode old_;
 };
 
 }  // namespace hcf::htm

@@ -122,15 +122,9 @@ void begin_txn(Txn& t) {
   t.depth = 1;
   t.tid = util::this_thread_id();
   t.last_abort = AbortCode::None;
-  t.mode = config().epoch_mode.load(std::memory_order_relaxed);
   t.reset_logs();
   t.snapshot_epoch = global_clock().load(std::memory_order_acquire);
-  // Only Sampled-mode reads poll the strong clock; Tick transactions skip
-  // the extra cross-line load (extend_snapshot refreshes snapshot_strong
-  // itself whenever it runs).
-  t.snapshot_strong = t.mode == EpochMode::Sampled
-                          ? strong_clock().load(std::memory_order_acquire)
-                          : 0;
+  t.snapshot_strong = strong_clock().load(std::memory_order_acquire);
   t.validated_epoch = t.snapshot_epoch;
   t.validated_count = 0;
   stats().starts.add();
@@ -236,34 +230,24 @@ void finish_commit_bookkeeping(Txn& t) noexcept {
 
 }  // namespace
 
-void commit_txn(Txn& t) {
-  assert(t.active);
-  if (t.depth > 1) {  // flat-nested inner commit: nothing to do
-    --t.depth;
-    return;
-  }
+AbortCode commit_txn(Txn& t) noexcept {
+  // Only the outermost attempt commits; flat-nested ones never get here.
+  assert(t.active && t.depth == 1);
   protocol::check_commit_subscription(t.subscribed);
 
   if (t.write_set.empty()) {
-    if (t.mode == EpochMode::Tick) {
-      // Read-only, Tick: the per-read clock checks kept the snapshot
-      // consistent; a final validation is needed only if the clock moved
-      // since (and then only for entries not already validated at it).
-      if (global_clock().load(std::memory_order_acquire) !=
-          t.snapshot_epoch) {
-        extend_snapshot(t);
-      }
-    }
-    // Read-only, Sampled: every read individually proved version ≤ snapshot
-    // with the strong clock unchanged, so the read set is consistent at the
-    // snapshot and the transaction serializes there — no validation at all.
+    // Read-only: every read individually proved version ≤ snapshot with the
+    // strong clock unchanged, so the read set is consistent at the snapshot
+    // and the transaction serializes there — no validation at all.
     stats().read_only_commits.add();
     finish_commit_bookkeeping(t);
     telemetry::htm_commit(/*read_only=*/true);
-    return;
+    return AbortCode::None;
   }
 
-  if (!acquire_write_orecs(t)) throw_abort(AbortCode::Conflict);
+  // Commit-time conflicts return instead of throwing: there is no body
+  // frame left to unwind, and a throw costs microseconds.
+  if (!acquire_write_orecs(t)) return AbortCode::Conflict;
 
   // Raise our write-back flag *before* the final validation: elidable-lock
   // acquirers first doom future validators (by bumping the lock word's
@@ -298,7 +282,7 @@ void commit_txn(Txn& t) {
       !validate_read_set(t, tx_lock_word(t.tid))) {
     flag.store(0, std::memory_order_release);
     release_acquired(t, /*new_word=*/0);
-    throw_abort(AbortCode::Conflict);
+    return AbortCode::Conflict;
   }
 
   for (const auto& w : t.write_set) store_sized(w.addr, w.value, w.size);
@@ -315,6 +299,7 @@ void commit_txn(Txn& t) {
 
   finish_commit_bookkeeping(t);
   telemetry::htm_commit(/*read_only=*/false);
+  return AbortCode::None;
 }
 
 void abort_cleanup(Txn& t, AbortCode code) noexcept {
@@ -382,7 +367,7 @@ void strong_unlock_orec(std::atomic<std::uint64_t>& orec, std::uint64_t ver,
     // the orec release, so any transaction that can observe the new value
     // must revalidate. The strong clock moves second but still before the
     // orec release and before the caller's subsequent uninstrumented
-    // stores, which is what Sampled-mode readers poll.
+    // stores, which is what readers poll.
     const std::uint64_t wv =
         global_clock().fetch_add(1, std::memory_order_acq_rel) + 1;
     strong_clock().fetch_add(1, std::memory_order_acq_rel);

@@ -10,19 +10,19 @@
 // global version clock.
 //
 //   * tx reads validate the orec version around the value load and record
-//     it in a read set; snapshot staleness is detected against the global
-//     version clock and repaired by read-set revalidation ("snapshot
-//     extension"), giving opacity (no zombie execution) in the style of
-//     LSA/TL2. Two detection policies are available (config.hpp):
-//     EpochMode::Tick polls the clock on every read, EpochMode::Sampled
-//     revalidates only when a read observes a version newer than its
-//     snapshot or the rare-event strong clock moved.
+//     it in a read set. A read revalidates the read set ("snapshot
+//     extension") only when it observes a version newer than its snapshot
+//     or the rare-event strong clock moved, giving opacity (no zombie
+//     execution) in the style of LSA/TL2; unrelated writer commits cost a
+//     reader nothing, and read-only transactions commit without validation.
 //   * tx writes are buffered; memory is only touched during commit
 //     write-back, after the write orecs are acquired and the read set
 //     validated. Non-instrumented code (a thread holding the elided lock)
 //     therefore never observes speculative state. The write buffer is
 //     indexed by a 64-bit Bloom-style signature plus a small open-addressed
-//     hash index, so read-after-write and write upserts are O(1).
+//     hash index, so read-after-write and write upserts are O(1). A
+//     conflict found at commit is returned, not thrown: only aborts raised
+//     inside the body unwind it with TxAbort.
 //   * non-transactional ("strong") stores to words transactions read — lock
 //     words, operation statuses, publication slots — go through the same
 //     orec protocol via TxCell (txcell.hpp), so they doom overlapping
@@ -104,8 +104,8 @@ inline std::uint64_t orec_version(std::uint64_t word) noexcept {
 // writer commit and strong store *before* the corresponding orecs are
 // released, so an orec can never expose a version the clock has not reached.
 // strong_clock: counts only strong stores / lock-word transitions — the
-// rare events Sampled-mode readers must poll for (lock holders write
-// uninstrumented data that leaves no orec evidence).
+// rare events readers must poll for (lock holders write uninstrumented data
+// that leaves no orec evidence).
 std::atomic<std::uint64_t>& global_clock() noexcept;
 std::atomic<std::uint64_t>& strong_clock() noexcept;
 
@@ -161,8 +161,6 @@ struct alignas(util::kCacheLineSize) Txn {
   // checker's commit check. Maintained unconditionally (one byte, one
   // store per subscription) so all build flavours share one Txn layout.
   bool subscribed = false;
-  // Snapshot-staleness policy, latched from config() at begin.
-  EpochMode mode = EpochMode::Tick;
   // 64 - log2(windex slots): hash >> shift is the probe start.
   std::uint8_t windex_shift = kWindexInitialShift;
   std::uint32_t depth = 0;
@@ -218,14 +216,16 @@ Txn& txn() noexcept;
 // the caller's commit lock word if the caller holds orecs (0 otherwise).
 bool validate_read_set(Txn& t, std::uint64_t self_tag) noexcept;
 
-// Revalidates after observing evidence of a newer snapshot (clock moved /
-// newer orec version / strong clock moved); aborts (throws) on failure.
+// Revalidates after a read observed evidence of a newer snapshot (an orec
+// version past it, or the strong clock moved); aborts (throws) on failure.
 // Keeps opacity. Incremental: entries already validated at the current
 // clock value are skipped.
 void extend_snapshot(Txn& t);
 
 void begin_txn(Txn& t);
-void commit_txn(Txn& t);                // throws TxAbort on validation failure
+// Returns None on commit, or Conflict with the orecs released and the
+// write-back flag down; the caller runs abort_cleanup.
+AbortCode commit_txn(Txn& t) noexcept;
 void abort_cleanup(Txn& t, AbortCode code) noexcept;
 
 // Rebuilds the write-set index at double capacity (cold path).
@@ -347,21 +347,16 @@ inline T read(const T* addr) {
     // (or a newer version) and we abort instead of keeping a torn read.
     const std::uint64_t v2 = orec.load(std::memory_order_acquire);
     if (v1 != v2) detail::throw_abort(AbortCode::Conflict);
-    if (t.mode == EpochMode::Tick) break;
-    // Sampled: revalidate only on actual evidence of staleness — a version
-    // newer than our snapshot, or movement of the rare-event strong clock
+    // Revalidate only on actual evidence of staleness — a version newer
+    // than our snapshot, or movement of the rare-event strong clock
     // (checked *after* the value load so a lock holder's uninstrumented
     // store can never be ingested without the strong bump being visible).
-    if (detail::orec_version(v1) > t.snapshot_epoch) {
-      detail::extend_snapshot(t);
-      continue;
+    if (detail::orec_version(v1) <= t.snapshot_epoch &&
+        detail::strong_clock().load(std::memory_order_acquire) ==
+            t.snapshot_strong) {
+      break;
     }
-    if (detail::strong_clock().load(std::memory_order_acquire) !=
-        t.snapshot_strong) {
-      detail::extend_snapshot(t);
-      continue;
-    }
-    break;
+    detail::extend_snapshot(t);
   }
   // A stable orec around the load means we read a committed value; import
   // the committing thread's writes (it ran HCF_TSAN_RELEASE on this orec
@@ -385,14 +380,6 @@ inline T read(const T* addr) {
       detail::throw_abort(AbortCode::Capacity);
     }
     t.read_set.push_back({&orec, v1});
-  }
-
-  if (t.mode == EpochMode::Tick) {
-    // Opacity, Tick policy: if anyone committed since our snapshot, make
-    // sure everything we have read is still mutually consistent.
-    const std::uint64_t c =
-        detail::global_clock().load(std::memory_order_acquire);
-    if (c != t.snapshot_epoch) detail::extend_snapshot(t);
   }
   return value;
 }
@@ -434,6 +421,8 @@ inline void write(T* addr, T value) {
 
 // Runs `body` as one transaction attempt. Returns true if it committed.
 // Inside an enclosing transaction the body is flat-nested (subsumed).
+// Aborts raised inside the body unwind it with TxAbort; a commit-time
+// conflict needs no unwinding and comes back as a code.
 template <typename F>
 inline bool attempt(F&& body) {
   auto& t = detail::txn();
@@ -442,13 +431,12 @@ inline bool attempt(F&& body) {
     return true;
   }
   detail::begin_txn(t);
+  AbortCode code = AbortCode::None;
   try {
     std::forward<F>(body)();
-    detail::commit_txn(t);
-    return true;
+    code = detail::commit_txn(t);
   } catch (TxAbort& a) {
-    detail::abort_cleanup(t, a.code);
-    return false;
+    code = a.code;
   } catch (...) {
     // An exception escaping the body aborts the transaction (discarding
     // speculative state), then propagates — matching RTM, where an
@@ -456,6 +444,9 @@ inline bool attempt(F&& body) {
     detail::abort_cleanup(t, AbortCode::Explicit);
     throw;
   }
+  if (code == AbortCode::None) return true;
+  detail::abort_cleanup(t, code);
+  return false;
 }
 
 // Allocation helpers. Memory allocated inside a transaction must be

@@ -19,8 +19,8 @@ struct Stats {
   util::Counter tx_reads;
   util::Counter tx_writes;
   util::Counter strong_stores;
-  // Read-set revalidations (snapshot extensions). The Tick/Sampled epoch
-  // modes trade these off against per-read clock polling; see config.hpp.
+  // Read-set revalidations (snapshot extensions): a read extends only when
+  // it sees a version past its snapshot or the strong clock moved (htm.hpp).
   util::Counter snapshot_extensions;
   // Protocol-checker violation counters (sim_htm/protocol_check.hpp).
   // Always present so release and checker builds share one layout; only

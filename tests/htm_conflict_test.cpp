@@ -66,10 +66,10 @@ TEST(HtmConflict, DisjointWritesDontAbortEachOther) {
 
 TEST(HtmConflict, WriteInvalidatesConcurrentReader) {
   // Deterministic interleaving via stage flags: the reader opens a
-  // transaction, reads x, then the writer commits a change to x; the
-  // reader's next transactional read must abort it (validation).
+  // transaction, reads x, then the writer commits a change to x. The
+  // reader's re-read of x sees a version past its snapshot, and the
+  // extension's revalidation aborts it inside the body.
   alignas(64) std::uint64_t x = 0;
-  alignas(64) std::uint64_t y = 0;
   std::atomic<int> stage{0};
 
   std::thread reader([&] {
@@ -77,7 +77,8 @@ TEST(HtmConflict, WriteInvalidatesConcurrentReader) {
       EXPECT_EQ(read(&x), 0u);
       stage.store(1);
       while (stage.load() != 2) util::cpu_relax();
-      (void)read(&y);  // revalidation must fire here or at commit
+      (void)read(&x);
+      ADD_FAILURE() << "re-reading a changed word must abort";
     });
     EXPECT_FALSE(ok);
     EXPECT_EQ(last_abort_code(), AbortCode::Conflict);
@@ -87,6 +88,35 @@ TEST(HtmConflict, WriteInvalidatesConcurrentReader) {
   ASSERT_TRUE(attempt([&] { write(&x, std::uint64_t{1}); }));
   stage.store(2);
   reader.join();
+}
+
+TEST(HtmConflict, WriteInvalidatesConcurrentReaderAtCommit) {
+  // Same interleaving, but after the writer's commit the reader only
+  // writes y: the body runs to its end, and the commit's read-set
+  // validation returns Conflict.
+  alignas(64) std::uint64_t x = 0;
+  alignas(64) std::uint64_t y = 0;
+  std::atomic<int> stage{0};
+
+  std::thread reader([&] {
+    bool body_finished = false;
+    const bool ok = attempt([&] {
+      EXPECT_EQ(read(&x), 0u);
+      stage.store(1);
+      while (stage.load() != 2) util::cpu_relax();
+      write(&y, std::uint64_t{1});
+      body_finished = true;
+    });
+    EXPECT_FALSE(ok);
+    EXPECT_TRUE(body_finished) << "the abort must be raised at commit";
+    EXPECT_EQ(last_abort_code(), AbortCode::Conflict);
+  });
+
+  while (stage.load() != 1) util::cpu_relax();
+  ASSERT_TRUE(attempt([&] { write(&x, std::uint64_t{1}); }));
+  stage.store(2);
+  reader.join();
+  EXPECT_EQ(y, 0u);  // the doomed writer never wrote back
 }
 
 TEST(HtmConflict, StrongStoreInvalidatesConcurrentReader) {

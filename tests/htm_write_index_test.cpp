@@ -1,7 +1,7 @@
-// Write-set index (Bloom signature + open-addressed index) and epoch-mode
-// coverage: collision-heavy address patterns, capacity boundaries, index
-// state isolation across transactions, and Sampled-mode opacity under
-// concurrency (run under TSan in the sanitizer CI jobs).
+// Write-set index (Bloom signature + open-addressed index) and snapshot
+// policy coverage: collision-heavy address patterns, capacity boundaries,
+// index state isolation across transactions, and opacity under concurrency
+// (run under TSan in the sanitizer CI jobs).
 #include "sim_htm/htm.hpp"
 
 #include <gtest/gtest.h>
@@ -162,7 +162,7 @@ TEST(HtmWriteIndexDeathTest, MixedSizeSameAddressAsserts) {
       "mixed-size");
 }
 
-// ---- Epoch modes ----------------------------------------------------------
+// ---- Snapshot policy -------------------------------------------------------
 
 // Runs `mid` on a helper thread while a transaction is open on this one.
 template <typename Mid, typename Body>
@@ -175,8 +175,7 @@ bool run_with_interference(Mid mid, Body body) {
   });
 }
 
-TEST(HtmEpochMode, SampledSkipsRevalidationOnUnrelatedCommit) {
-  ScopedEpochMode mode(EpochMode::Sampled);
+TEST(HtmSnapshot, SkipsRevalidationOnUnrelatedCommit) {
   static std::uint64_t x = 1;
   static std::uint64_t y = 2;
   const auto before = StatsSnapshot::capture();
@@ -188,21 +187,7 @@ TEST(HtmEpochMode, SampledSkipsRevalidationOnUnrelatedCommit) {
   EXPECT_EQ(d.snapshot_extensions, 0u);
 }
 
-TEST(HtmEpochMode, TickRevalidatesOnUnrelatedCommit) {
-  ScopedEpochMode mode(EpochMode::Tick);
-  static std::uint64_t x = 1;
-  static std::uint64_t y = 2;
-  const auto before = StatsSnapshot::capture();
-  const bool ok = run_with_interference(
-      [] { EXPECT_TRUE(attempt([] { write(&y, read(&y) + 1); })); },
-      [](int) { (void)read(&x); });
-  EXPECT_TRUE(ok);
-  const auto d = StatsSnapshot::capture().delta_since(before);
-  EXPECT_GE(d.snapshot_extensions, 1u);
-}
-
-TEST(HtmEpochMode, SampledStrongStoreOnReadWordAborts) {
-  ScopedEpochMode mode(EpochMode::Sampled);
+TEST(HtmSnapshot, StrongStoreOnReadWordAborts) {
   static std::uint64_t x = 5;
   const bool ok = run_with_interference(
       [] { strong_store(&x, std::uint64_t{9}); },
@@ -212,8 +197,7 @@ TEST(HtmEpochMode, SampledStrongStoreOnReadWordAborts) {
   EXPECT_EQ(x, 9u);
 }
 
-TEST(HtmEpochMode, SampledStrongStoreElsewhereForcesExtension) {
-  ScopedEpochMode mode(EpochMode::Sampled);
+TEST(HtmSnapshot, StrongStoreElsewhereForcesExtension) {
   static std::uint64_t x = 5;
   static std::uint64_t z = 0;
   const auto before = StatsSnapshot::capture();
@@ -227,12 +211,11 @@ TEST(HtmEpochMode, SampledStrongStoreElsewhereForcesExtension) {
   EXPECT_GE(d.snapshot_extensions, 1u);
 }
 
-// Bank-invariant opacity stress in Sampled mode: transfers preserve the
+// Bank-invariant opacity stress: transfers preserve the
 // total; read-only sum transactions and a strong-store "pulse" run
 // alongside. Any zombie read (torn snapshot) shows up as a wrong sum in a
 // committed transaction. TSan builds additionally check the HB edges.
-TEST(HtmEpochMode, SampledOpacityStress) {
-  ScopedEpochMode mode(EpochMode::Sampled);
+TEST(HtmSnapshot, OpacityStress) {
   constexpr std::size_t kAccounts = 64;
   constexpr std::uint64_t kInitial = 100;
   constexpr int kWriters = 3;
@@ -281,7 +264,7 @@ TEST(HtmEpochMode, SampledOpacityStress) {
       }
     });
   }
-  // Strong-store pulses: rare-event path the Sampled mode polls for.
+  // Strong-store pulses: the rare-event path reads poll for.
   threads.emplace_back([] {
     for (int p = 0; p < 200; ++p) {
       strong_store(&pulse_word, static_cast<std::uint64_t>(p));

@@ -2,6 +2,7 @@
 """Diff two hcf-bench-v1 result sets with noise-aware thresholds.
 
     tools/perflab/compare.py BASELINE CURRENT [--threshold=0.25] [--min-ops=2000]
+                             [--allow-cross-host]
 
 BASELINE and CURRENT are each either a single ``BENCH_*.json`` file or a
 directory containing several. Rows are matched on the key
@@ -14,8 +15,13 @@ than ``--min-ops`` operations are skipped as noise (short CI windows on
 shared machines produce wild ratios on tiny samples). Rows present on
 only one side are reported but never fail the comparison — sweeps grow.
 
+Both sides must come from alike hosts: for every bench present on both
+sides, the ``host`` objects must agree on ``hardware_threads``,
+``sanitizer`` and ``telemetry``. A mismatch is reported and refused
+unless ``--allow-cross-host`` is given.
+
 Exit status: 0 clean (improvements are fine), 1 at least one regression,
-2 usage/schema errors.
+2 usage/schema errors or a refused cross-host comparison.
 """
 
 import argparse
@@ -25,6 +31,8 @@ import os
 import sys
 
 SCHEMA = "hcf-bench-v1"
+# Host fields that change throughput enough to make a diff meaningless.
+HOST_KEYS = ("hardware_threads", "sanitizer", "telemetry")
 
 
 def load_result_files(path):
@@ -46,10 +54,13 @@ def load_result_files(path):
 
 
 def index_rows(path):
-    """Map (bench, workload, engine, threads, cs_work) -> row."""
+    """Return ({(bench, workload, engine, threads, cs_work): row},
+    {bench: host})."""
     rows = {}
+    hosts = {}
     for name, doc in load_result_files(path):
         bench = doc.get("bench", "?")
+        hosts[bench] = doc.get("host") or {}
         for row in doc.get("results", []):
             try:
                 key = (bench, row["workload"], row["engine"],
@@ -59,7 +70,17 @@ def index_rows(path):
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{name}: malformed row ({exc})")
             rows[key] = row
-    return rows
+    return rows, hosts
+
+
+def host_mismatches(base_hosts, curr_hosts):
+    """Yield (bench, field, baseline value, current value) per difference."""
+    for bench in sorted(set(base_hosts) & set(curr_hosts)):
+        for field in HOST_KEYS:
+            b = base_hosts[bench].get(field)
+            c = curr_hosts[bench].get(field)
+            if b != c:
+                yield bench, field, b, c
 
 
 def fmt_key(key):
@@ -75,6 +96,8 @@ def main(argv=None):
                         help="allowed fractional throughput drop (default 0.25)")
     parser.add_argument("--min-ops", type=int, default=2000,
                         help="skip rows where either side did fewer ops")
+    parser.add_argument("--allow-cross-host", action="store_true",
+                        help="compare even if the host fields differ")
     args = parser.parse_args(argv)
 
     if not (0.0 < args.threshold < 1.0):
@@ -82,10 +105,18 @@ def main(argv=None):
         return 2
 
     try:
-        base = index_rows(args.baseline)
-        curr = index_rows(args.current)
+        base, base_hosts = index_rows(args.baseline)
+        curr, curr_hosts = index_rows(args.current)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    mismatches = list(host_mismatches(base_hosts, curr_hosts))
+    for bench, field, b, c in mismatches:
+        print(f"[compare] host mismatch in {bench}: {field} {b!r} -> {c!r}")
+    if mismatches and not args.allow_cross_host:
+        print("error: baseline and current ran on different hosts; "
+              "pass --allow-cross-host to compare anyway", file=sys.stderr)
         return 2
 
     regressions = []

@@ -4,8 +4,9 @@
 Exercises the three exit-code contracts:
   0 — ok/improved result sets pass,
   1 — a >threshold throughput drop is flagged as a regression,
-  2 — schema mismatches and bad usage are reported as errors,
-plus the --min-ops noise floor (the tiny "noisy" row regresses by 80%
+  2 — schema mismatches, cross-host pairs and bad usage are reported as
+      errors,
+plus the --allow-cross-host override and the --min-ops noise floor (the tiny "noisy" row regresses by 80%
 in the regressed fixture but must be skipped, so exactly one regression
 is reported there).
 """
@@ -25,6 +26,10 @@ BASELINE = os.path.join(FIXTURES, "baseline")
 REGRESSED = os.path.join(FIXTURES, "regressed")
 OK = os.path.join(FIXTURES, "ok")
 BAD_SCHEMA = os.path.join(FIXTURES, "bad_schema")
+# Same rows as BASELINE, from a host with fewer hardware threads and from
+# a sanitizer build without telemetry.
+OTHER_HOST = os.path.join(FIXTURES, "other_host")
+OTHER_BUILD = os.path.join(FIXTURES, "other_build")
 
 failures = []
 
@@ -67,9 +72,18 @@ check("bad-schema", [BASELINE, BAD_SCHEMA], 2, ["unexpected schema"])
 check("missing-path", [BASELINE, os.path.join(FIXTURES, "nope")], 2, [])
 check("bad-threshold", [BASELINE, OK, "--threshold=2.0"], 2, [])
 
+# Cross-host pairs are refused, naming each differing field...
+check("cross-host-threads", [BASELINE, OTHER_HOST], 2,
+      ["hardware_threads 4 -> 1", "--allow-cross-host"])
+check("cross-host-build", [BASELINE, OTHER_BUILD], 2,
+      ["sanitizer 'none' -> 'thread'", "telemetry True -> False"])
+# ...unless the override is given, which compares the rows as usual.
+check("cross-host-allowed", [BASELINE, OTHER_HOST, "--allow-cross-host"], 0,
+      ["host mismatch in demo", "0 regression(s)"])
+
 if failures:
     print("perflab selftest FAILED:", file=sys.stderr)
     for f in failures:
         print(f"  - {f}", file=sys.stderr)
     sys.exit(1)
-print(f"perflab selftest OK ({8} checks)")
+print(f"perflab selftest OK ({11} checks)")
