@@ -85,7 +85,6 @@ class HandoffRing {
 // engine, so give it an inert one and let the driver's reclamation
 // snapshot do the measuring.
 struct MicroEngine {
-  void reset_stats() {}
   core::EngineStatsSnapshot stats_snapshot() const { return {}; }
   std::uint64_t lock_acquisitions() const { return 0; }
 };

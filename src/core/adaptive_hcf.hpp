@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/hcf_engine.hpp"
@@ -69,9 +70,6 @@ class AdaptiveHcfEngine {
   AdaptiveHcfEngine(DS& ds, std::vector<ClassConfig> classes,
                     std::size_t num_arrays = 1, AdaptiveOptions options = {})
       : inner_(ds, std::move(classes), num_arrays), options_(options) {
-    for (auto& s : last_window_) {
-      s = {};
-    }
     // The wait policy each class returns to when the controller unparks.
     for (std::size_t cls = 0; cls < inner_.num_classes(); ++cls) {
       base_wait_[cls].store(
@@ -100,7 +98,17 @@ class AdaptiveHcfEngine {
   std::uint64_t lock_acquisitions() const noexcept {
     return inner_.lock_acquisitions();
   }
-  void reset_stats() noexcept { inner_.reset_stats(); }
+  // A reset restarts the adaptation window too, or the next adapt() would
+  // difference against pre-reset totals and wrap. The adapting_ guard keeps
+  // a concurrent adapt() from capturing between the two.
+  void reset_stats() noexcept {
+    while (adapting_.exchange(true, std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    inner_.reset_stats();
+    for (auto& s : last_window_) s = {};
+    adapting_.store(false, std::memory_order_release);
+  }
   DS& data() noexcept { return inner_.data(); }
   Inner& inner() noexcept { return inner_; }
   auto& lock() noexcept { return inner_.lock(); }

@@ -1,10 +1,11 @@
 // Timed multi-thread benchmark driver.
 //
 // Spawns N worker threads, each repeatedly issuing one operation through an
-// engine until the stop flag fires. The driver resets engine + simulator
-// statistics after a warm-up interval so every reported number covers
-// exactly the measurement window, and pins threads with the paper's
-// fill-one-socket-first policy.
+// engine until the stop flag fires. The driver snapshots every counter after
+// a warm-up interval and reports deltas, so every number covers exactly the
+// measurement window (a mid-run reset could be undone by a concurrent
+// Counter::add), and pins threads with the paper's fill-one-socket-first
+// policy.
 #pragma once
 
 #include <atomic>
@@ -25,6 +26,7 @@
 #include "util/barrier.hpp"
 #include "util/cacheline.hpp"
 #include "util/histogram.hpp"
+#include "util/parking.hpp"
 
 namespace hcf::harness {
 
@@ -54,6 +56,8 @@ struct RunResult {
   // many retires stayed local vs. crossed pools, and the batching those
   // crossings got (flush CASes, owner drains, refills).
   mem::ReclaimSnapshot reclaim;
+  // Wait-tier traffic (util/parking.hpp): parks, wakes, yields.
+  util::ParkSnapshot park;
   std::uint64_t lock_acquisitions = 0;
   // Operation latency percentiles in nanoseconds; only populated when
   // DriverOptions::measure_latency is set.
@@ -112,9 +116,8 @@ struct DriverOptions {
 
 // `make_worker(thread_index)` returns a callable invoked repeatedly; each
 // call must execute exactly one operation through the engine. `engine`
-// only needs reset_stats() / stats() (or stats_snapshot(), see
-// detail::capture_stats — how sharded meta-engines register here) /
-// lock_acquisitions().
+// only needs stats() (or stats_snapshot(), see detail::capture_stats — how
+// sharded meta-engines register here) and lock_acquisitions().
 template <typename Engine, typename WorkerFactory>
 RunResult run_timed(Engine& engine, std::size_t num_threads,
                     WorkerFactory&& make_worker,
@@ -171,11 +174,11 @@ RunResult run_timed(Engine& engine, std::size_t num_threads,
   barrier.arrive_and_wait();
   std::this_thread::sleep_for(options.warmup);
 
-  engine.reset_stats();
-  htm::stats().reset();
   const auto base_htm = htm::StatsSnapshot::capture();
   const auto base_engine = detail::capture_stats(engine);
   const auto base_reclaim = mem::ReclaimSnapshot::capture();
+  const auto base_park = util::ParkSnapshot::capture();
+  const std::uint64_t base_locks = engine.lock_acquisitions();
   const auto start = std::chrono::steady_clock::now();
   measuring.store(true, std::memory_order_relaxed);
 
@@ -234,7 +237,8 @@ RunResult run_timed(Engine& engine, std::size_t num_threads,
   result.engine = detail::capture_stats(engine).delta_since(base_engine);
   result.htm = htm::StatsSnapshot::capture().delta_since(base_htm);
   result.reclaim = mem::ReclaimSnapshot::capture().delta_since(base_reclaim);
-  result.lock_acquisitions = engine.lock_acquisitions();
+  result.park = util::ParkSnapshot::capture().delta_since(base_park);
+  result.lock_acquisitions = engine.lock_acquisitions() - base_locks;
   if (histogram != nullptr) {
     result.latency_p50_ns = histogram->percentile(0.50);
     result.latency_p99_ns = histogram->percentile(0.99);

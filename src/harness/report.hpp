@@ -7,24 +7,26 @@
 // downstream tooling can reject files it does not understand, and the field
 // set mirrors what the paper's figures are read from: throughput, phase
 // breakdown (Fig. 3), combining degree (Fig. 4), abort counts, and latency
-// percentiles.
+// percentiles. Counter groups come from the layer counter tables
+// (util/counters.hpp), so every counter of every layer is in every row.
 //
 // Output is deterministic for a given row set (fixed field order, fixed
 // float formatting, no timestamps), which is what lets tests golden-file
 // it. Host details are injected via HostInfo so tests can pin them.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "harness/driver.hpp"
-#include "sim_htm/abort.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace hcf::harness {
@@ -87,6 +89,66 @@ inline std::string json_double(double v) {
   std::snprintf(buf, sizeof buf, "%.6f", v);
   return buf;
 }
+
+// A counter value: a number, a JSON array for an array shape, or an object
+// keyed by the shape's labels.
+template <typename Shape, typename V>
+void write_counter(std::ostream& os, Shape, const V& v) {
+  if constexpr (requires { Shape::labels; }) {
+    static_assert(std::size(Shape::labels) == std::size(V{}));
+    const char* sep = "{";
+    for (const util::Label& l : Shape::labels) {
+      os << std::exchange(sep, ", ") << '"' << l.name << "\": " << v[l.index];
+    }
+    os << '}';
+  } else if constexpr (requires { std::size(v); }) {
+    const char* sep = "[";
+    for (const auto& e : v) {
+      os << std::exchange(sep, ", ");
+      write_counter(os, util::Scalar{}, e);
+    }
+    os << ']';
+  } else {
+    os << v;
+  }
+}
+
+// Writes a row's counter groups from the layer tables. group() writes one
+// group's `"key": value` pairs in table order; rest() appends every group
+// no group() call placed as an object at the end of the row. A new counter
+// thus lands at the end of its group, a new group at the end of the row.
+class CounterGroups {
+ public:
+  explicit CounterGroups(std::ostream& os) : os_(os) {}
+
+  template <typename Snap>
+  void group(const Snap& snap, std::string_view name) {
+    placed_.push_back(name);
+    const char* sep = "";
+    snap.for_each([&](auto shape, std::string_view group, const char* key,
+                      const auto& value) {
+      if (group != name) return;
+      os_ << std::exchange(sep, ", ") << '"' << key << "\": ";
+      write_counter(os_, shape, value);
+    });
+  }
+
+  template <typename Snap>
+  void rest(const Snap& snap) {
+    snap.for_each([&](auto, std::string_view name, const char*, const auto&) {
+      if (std::find(placed_.begin(), placed_.end(), name) != placed_.end()) {
+        return;
+      }
+      os_ << ",\n     \"" << name << "\": {";
+      group(snap, name);
+      os_ << '}';
+    });
+  }
+
+ private:
+  std::ostream& os_;
+  std::vector<std::string_view> placed_;
+};
 
 }  // namespace detail
 
@@ -166,40 +228,27 @@ class JsonReport {
        << ", \"combining\": " << r.engine.phase_total(core::Phase::Combining)
        << ", \"under_lock\": "
        << r.engine.phase_total(core::Phase::UnderLock) << "},\n";
-    os << "     \"combining\": {\"sessions\": " << r.engine.combiner_sessions
-       << ", \"ops_selected\": " << r.engine.ops_selected
-       << ", \"rounds\": " << r.engine.combine_rounds
-       << ", \"helped_ops\": " << r.engine.helped_ops << ", \"degree\": "
-       << detail::json_double(r.engine.combining_degree()) << "},\n";
-    os << "     \"delegation\": {\"groups\": " << r.engine.delegated_groups
-       << ", \"ops\": " << r.engine.delegated_ops
-       << ", \"delegate_applies\": " << r.engine.delegate_applies
-       << ", \"fallbacks\": " << r.engine.delegate_fallbacks
-       << ", \"conflict_aborts\": " << r.engine.delegate_conflict_aborts
+    detail::CounterGroups counters(os);
+    os << "     \"combining\": {";
+    counters.group(r.engine, "combining");
+    os << ", \"degree\": " << detail::json_double(r.engine.combining_degree())
        << "},\n";
-    os << "     \"htm\": {\"starts\": " << r.htm.starts
-       << ", \"commits\": " << r.htm.commits
-       << ", \"read_only_commits\": " << r.htm.read_only_commits
-       << ", \"aborts\": {\"conflict\": "
-       << r.htm.aborts[static_cast<int>(htm::AbortCode::Conflict)]
-       << ", \"capacity\": "
-       << r.htm.aborts[static_cast<int>(htm::AbortCode::Capacity)]
-       << ", \"explicit\": "
-       << r.htm.aborts[static_cast<int>(htm::AbortCode::Explicit)]
-       << ", \"lock_busy\": "
-       << r.htm.aborts[static_cast<int>(htm::AbortCode::LockBusy)] << "}},\n";
-    os << "     \"reclamation\": {\"local_retires\": "
-       << r.reclaim.local_retires
-       << ", \"remote_retires\": " << r.reclaim.remote_retires
-       << ", \"remote_flushes\": " << r.reclaim.remote_flushes
-       << ", \"remote_drains\": " << r.reclaim.remote_drains
-       << ", \"drained_blocks\": " << r.reclaim.drained_blocks
-       << ", \"batches_sealed\": " << r.reclaim.batches_sealed
-       << ", \"pool_refills\": " << r.reclaim.pool_refills << "},\n";
+    os << "     \"delegation\": {";
+    counters.group(r.engine, "delegation");
+    os << "},\n     \"htm\": {";
+    counters.group(r.htm, "htm");
+    os << "},\n     \"reclamation\": {";
+    counters.group(r.reclaim, "reclamation");
+    os << "},\n";
     os << "     \"lock_acquisitions\": " << r.lock_acquisitions
        << ", \"latency_ns\": {\"p50\": " << r.latency_p50_ns
        << ", \"p99\": " << r.latency_p99_ns
-       << ", \"p999\": " << r.latency_p999_ns << "}}";
+       << ", \"p999\": " << r.latency_p999_ns << '}';
+    counters.rest(r.engine);
+    counters.rest(r.htm);
+    counters.rest(r.reclaim);
+    counters.rest(r.park);
+    os << '}';
   }
 
   std::string bench_;

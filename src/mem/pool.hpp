@@ -181,14 +181,23 @@ inline void set_remote_flush_batch(std::size_t n) noexcept {
 
 // ---- Reclamation statistics ----------------------------------------------
 
-struct ReclaimStats {
-  util::Counter local_retires;    // retires that stayed on the local limbo
-  util::Counter remote_retires;   // pre-grace retires sent to an owner pool
-  util::Counter remote_flushes;   // outbound bin -> inbox CAS publishes
-  util::Counter remote_drains;    // non-empty inbox drains by owners
-  util::Counter drained_blocks;   // blocks moved out of inboxes
-  util::Counter batches_sealed;   // epoch-stamped limbo batches created
-  util::Counter pool_refills;     // arena refills (free list ran dry)
+// The reclamation counter table (util/counters.hpp): retires kept on the
+// local limbo, pre-grace retires sent to an owner pool, outbound bin -> inbox
+// CAS publishes, non-empty inbox drains by owners, blocks moved out of
+// inboxes, epoch-stamped limbo batches, arena refills (free list ran dry).
+#define HCF_RECLAIM_COUNTERS(X)                                  \
+  X(util::Scalar, local_retires, "reclamation", "local_retires")   \
+  X(util::Scalar, remote_retires, "reclamation", "remote_retires") \
+  X(util::Scalar, remote_flushes, "reclamation", "remote_flushes") \
+  X(util::Scalar, remote_drains, "reclamation", "remote_drains")   \
+  X(util::Scalar, drained_blocks, "reclamation", "drained_blocks") \
+  X(util::Scalar, batches_sealed, "reclamation", "batches_sealed") \
+  X(util::Scalar, pool_refills, "reclamation", "pool_refills")
+
+HCF_COUNTER_TABLE(ReclaimCounters, HCF_RECLAIM_COUNTERS);
+
+struct ReclaimStats : util::LiveCounters<ReclaimStats, ReclaimCounters> {
+  HCF_RECLAIM_COUNTERS(HCF_COUNTER_MEMBER)
 };
 
 inline ReclaimStats& reclaim_stats() noexcept {
@@ -197,38 +206,11 @@ inline ReclaimStats& reclaim_stats() noexcept {
 }
 
 // Plain-value snapshot for measurement intervals (harness/driver.hpp).
-struct ReclaimSnapshot {
-  std::uint64_t local_retires = 0;
-  std::uint64_t remote_retires = 0;
-  std::uint64_t remote_flushes = 0;
-  std::uint64_t remote_drains = 0;
-  std::uint64_t drained_blocks = 0;
-  std::uint64_t batches_sealed = 0;
-  std::uint64_t pool_refills = 0;
+struct ReclaimSnapshot : util::CounterValues<ReclaimSnapshot, ReclaimCounters> {
+  HCF_RECLAIM_COUNTERS(HCF_COUNTER_VALUE)
 
   static ReclaimSnapshot capture() noexcept {
-    const ReclaimStats& s = reclaim_stats();
-    ReclaimSnapshot snap;
-    snap.local_retires = s.local_retires.total();
-    snap.remote_retires = s.remote_retires.total();
-    snap.remote_flushes = s.remote_flushes.total();
-    snap.remote_drains = s.remote_drains.total();
-    snap.drained_blocks = s.drained_blocks.total();
-    snap.batches_sealed = s.batches_sealed.total();
-    snap.pool_refills = s.pool_refills.total();
-    return snap;
-  }
-
-  ReclaimSnapshot delta_since(const ReclaimSnapshot& base) const noexcept {
-    ReclaimSnapshot d;
-    d.local_retires = local_retires - base.local_retires;
-    d.remote_retires = remote_retires - base.remote_retires;
-    d.remote_flushes = remote_flushes - base.remote_flushes;
-    d.remote_drains = remote_drains - base.remote_drains;
-    d.drained_blocks = drained_blocks - base.drained_blocks;
-    d.batches_sealed = batches_sealed - base.batches_sealed;
-    d.pool_refills = pool_refills - base.pool_refills;
-    return d;
+    return capture_from(reclaim_stats());
   }
 };
 

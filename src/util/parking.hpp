@@ -71,30 +71,34 @@ enum class ParkResult : std::uint8_t {
   Spurious = 1,  // kernel returned but the word still holds `expected`
 };
 
-// Global parking counters (always-on, cache-line-sharded like every other
-// util::Counter): parks that actually reached the kernel wait, wake calls
-// that issued a syscall, parks that returned with the word unchanged, and
-// sched_yield calls from the yield tier (the oversubscription signal the
-// adaptive wait-policy controller watches — a high yields-per-op rate means
-// waiters are burning quanta that the combiner needs).
-struct ParkStats {
-  Counter parks;
-  Counter wakes;
-  Counter spurious_wakes;
-  Counter yields;
+// Global parking counters (a util/counters.hpp table): parks that reached
+// the kernel wait, wake calls that issued a syscall, parks that returned
+// with the word unchanged, and yield-tier sched_yield calls (the adaptive
+// wait-policy controller's oversubscription signal: a high yields-per-op
+// rate means waiters burn quanta that the combiner needs).
+#define HCF_PARK_COUNTERS(X)                            \
+  X(Scalar, parks, "park", "parks")                     \
+  X(Scalar, wakes, "park", "wakes")                     \
+  X(Scalar, spurious_wakes, "park", "spurious_wakes")   \
+  X(Scalar, yields, "park", "yields")
 
-  void reset() noexcept {
-    parks.reset();
-    wakes.reset();
-    spurious_wakes.reset();
-    yields.reset();
-  }
+HCF_COUNTER_TABLE(ParkCounters, HCF_PARK_COUNTERS);
+
+struct ParkStats : LiveCounters<ParkStats, ParkCounters> {
+  HCF_PARK_COUNTERS(HCF_COUNTER_MEMBER)
 };
 
 inline ParkStats& park_stats() noexcept {
   static ParkStats stats;
   return stats;
 }
+
+// Plain-value snapshot for measurement intervals (harness/driver.hpp).
+struct ParkSnapshot : CounterValues<ParkSnapshot, ParkCounters> {
+  HCF_PARK_COUNTERS(HCF_COUNTER_VALUE)
+
+  static ParkSnapshot capture() noexcept { return capture_from(park_stats()); }
+};
 
 namespace detail {
 

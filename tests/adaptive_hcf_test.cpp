@@ -2,11 +2,13 @@
 // follow the observed phase distribution and never affect correctness.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "mem/ebr.hpp"
+#include "sim_htm/config.hpp"
 #include "util/rng.hpp"
 
 namespace hcf::core {
@@ -205,6 +207,63 @@ TEST(AdaptiveWaitFlip, DisabledControllerNeverFlips) {
   EXPECT_FALSE(engine.parked_wait());
   EXPECT_EQ(engine.wait_flips(), 0u);
   EXPECT_EQ(engine.class_config(0).policy.wait, util::WaitPolicy::SpinYield);
+}
+
+TEST(AdaptiveHcf, ResetStatsRestartsTheWindow) {
+  // reset_stats() zeroes the counters; the next window must be measured
+  // from zero, not against the pre-reset totals. Otherwise the unsigned
+  // window deltas wrap and the controller leans on garbage.
+  Disjoint ds;
+  AdaptiveOptions options;
+  options.window = 256;
+  options.adapt_wait = false;
+  using Engine = AdaptiveHcfEngine<Disjoint>;
+  Engine engine(ds, {ClassConfig{0, PhasePolicy::paper_default()}}, 1,
+                options);
+  DisjointIncOp op;
+  auto run_window = [&] {
+    for (std::uint64_t i = 0; i < options.window; ++i) engine.execute(op);
+  };
+  {
+    const htm::ScopedCapacity no_room(0, 0);  // every attempt aborts
+    for (int w = 0; w < 4; ++w) run_window();
+  }
+  ASSERT_EQ(engine.current_lean(0), Engine::Lean::Combining);
+
+  engine.reset_stats();
+  run_window();  // capacity restored: every op commits in TryPrivate
+  EXPECT_EQ(EngineStatsSnapshot::capture(engine.stats())
+                .phase_total(Phase::Private),
+            options.window);
+  EXPECT_EQ(engine.current_lean(0), Engine::Lean::Speculative);
+}
+
+TEST(AdaptiveHcf, ResetStatsWhileAdaptingKeepsExactlyOnce) {
+  // reset_stats() and adapt() both write the window bases; they must
+  // serialize (TSan runs this in CI) and never disturb the operations.
+  HotSpot ds;
+  AdaptiveOptions options;
+  options.window = 64;  // adapt constantly
+  AdaptiveHcfEngine<HotSpot> engine(
+      ds, {ClassConfig{0, PhasePolicy::paper_default()}}, 1, options);
+  constexpr int kThreads = 2;
+  constexpr int kOps = 5000;
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      IncOp op;
+      for (int i = 0; i < kOps; ++i) engine.execute(op);
+      running.fetch_sub(1);
+    });
+  }
+  while (running.load() != 0) {
+    engine.reset_stats();
+    std::this_thread::yield();
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(ds.value.get(), static_cast<std::uint64_t>(kThreads) * kOps);
+  mem::EbrDomain::instance().drain();
 }
 
 TEST(AdaptiveHcf, PreservesAnnounceFlagOfClass) {

@@ -6,11 +6,14 @@
 //   HCF_UPDATE_GOLDEN=1 ./build/tests/report_json_test
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "harness/report.hpp"
 
@@ -50,6 +53,9 @@ harness::JsonReport make_fixed_report() {
   hcf_row.engine.delegate_applies = 1400;
   hcf_row.engine.delegate_fallbacks = 100;
   hcf_row.engine.delegate_conflict_aborts = 40;
+  hcf_row.engine.attempt_failures[0] = 3000;
+  hcf_row.engine.batch_groups = 900;
+  hcf_row.engine.batch_group_sizes = 2700;
   hcf_row.htm.starts = 200000;
   hcf_row.htm.commits = 115000;
   hcf_row.htm.read_only_commits = 60000;
@@ -57,6 +63,10 @@ harness::JsonReport make_fixed_report() {
   hcf_row.htm.aborts[static_cast<int>(htm::AbortCode::Capacity)] = 1000;
   hcf_row.htm.aborts[static_cast<int>(htm::AbortCode::Explicit)] = 30000;
   hcf_row.htm.aborts[static_cast<int>(htm::AbortCode::LockBusy)] = 4000;
+  hcf_row.htm.tx_reads = 900000;
+  hcf_row.htm.tx_writes = 150000;
+  hcf_row.htm.snapshot_extensions = 700;
+  hcf_row.park.yields = 12000;
   hcf_row.lock_acquisitions = 5000;
   hcf_row.latency_p50_ns = 800;
   hcf_row.latency_p99_ns = 12000;
@@ -108,6 +118,100 @@ TEST(ReportJson, ComputedFieldsAreConsistent) {
   EXPECT_NE(json.find("\"delegation\": {\"groups\": 1500"), std::string::npos);
   EXPECT_NE(json.find("\"delegate_applies\": 1400"), std::string::npos);
   EXPECT_EQ(report.size(), 2u);
+}
+
+// The text of the JSON value that follows `"name": ` in `text`, from
+// `from` on: a balanced {...} or [...], or a bare scalar.
+std::string value_after(const std::string& text, const std::string& name,
+                        std::size_t from = 0) {
+  const std::string needle = "\"" + name + "\": ";
+  const std::size_t at = text.find(needle, from);
+  if (at == std::string::npos) return {};
+  const std::size_t begin = at + needle.size();
+  std::size_t end = begin;
+  int depth = 0;
+  for (; end < text.size(); ++end) {
+    const char c = text[end];
+    if (c == '{' || c == '[') ++depth;
+    if (c == '}' || c == ']') {
+      if (depth == 0) break;
+      if (--depth == 0) {
+        ++end;
+        break;
+      }
+    }
+    if (c == ',' && depth == 0) break;
+  }
+  return text.substr(begin, end - begin);
+}
+
+std::vector<std::uint64_t> numbers_in(const std::string& text) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t i = 0; i < text.size();) {
+    if (std::isdigit(static_cast<unsigned char>(text[i])) == 0) {
+      ++i;
+      continue;
+    }
+    std::size_t len = 0;
+    out.push_back(std::stoull(text.substr(i), &len));
+    i += len;
+  }
+  return out;
+}
+
+// A field's values in the order the report writes them: label order for a
+// labelled shape, element order otherwise.
+template <typename Shape, typename V>
+std::vector<std::uint64_t> emitted_values(Shape, const V& field) {
+  std::vector<std::uint64_t> out;
+  if constexpr (requires { Shape::labels; }) {
+    for (const util::Label& l : Shape::labels) out.push_back(field[l.index]);
+  } else {
+    util::for_each_leaf([&](std::uint64_t v) { out.push_back(v); }, field);
+  }
+  return out;
+}
+
+// Every counter of all four layer tables reaches the row, under its table
+// group and key, with its value. Driven from the tables, so a counter added
+// to one is covered without editing this test.
+TEST(ReportJson, RowCarriesEveryTableCounter) {
+  harness::RunResult r;
+  r.total_ops = 1;
+  r.duration_s = 1.0;
+  std::uint64_t next = 1000;
+  auto fill = [&next](std::uint64_t& v) { v = next++; };
+  util::for_each_counter<core::EngineCounters>(fill, r.engine);
+  util::for_each_counter<htm::HtmCounters>(fill, r.htm);
+  util::for_each_counter<mem::ReclaimCounters>(fill, r.reclaim);
+  util::for_each_counter<util::ParkCounters>(fill, r.park);
+
+  harness::JsonReport report("coverage", harness::HostInfo::fixed_for_tests());
+  report.add_row("w", "e", 1, 0, r);
+  std::ostringstream os;
+  report.write(os);
+  const std::string json = os.str();
+
+  std::size_t checked = 0;
+  auto check = [&](const auto& snap) {
+    snap.for_each([&](auto shape, const char* group, const char* key,
+                      const auto& field) {
+      // Groups are objects; "combining" is also a plain key under "phases".
+      const std::string object =
+          value_after(json, group, json.find("\"" + std::string(group) +
+                                             "\": {"));
+      ASSERT_FALSE(object.empty()) << "missing group " << group;
+      EXPECT_EQ(numbers_in(value_after(object, key)),
+                emitted_values(shape, field))
+          << group << "." << key;
+      ++checked;
+    });
+  };
+  check(r.engine);
+  check(r.htm);
+  check(r.reclaim);
+  check(r.park);
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(ReportJson, EscapesStrings) {
