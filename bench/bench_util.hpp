@@ -1,4 +1,5 @@
-// Shared option parsing and reporting for the figure benchmarks.
+// Shared option parsing, reporting and the paper's engine roster for the
+// figure benchmarks.
 //
 // Every figure binary accepts:
 //   --duration-ms=N     measurement window per configuration (default 300)
@@ -26,10 +27,13 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "harness/driver.hpp"
 #include "harness/report.hpp"
+#include "mem/ebr.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_export.hpp"
 #include "util/table.hpp"
@@ -148,7 +152,28 @@ struct BenchOptions {
     if (cs_work >= 0) return {static_cast<std::uint32_t>(cs_work)};
     return {0, amplified_work};
   }
+
+  bool selects(const std::string& workload) const {
+    return workload_filter.empty() || workload_filter == workload;
+  }
+
+  // A --workload that names none of the bench's workloads is a typo, not
+  // an empty sweep: fail like any other bad flag.
+  void require_workload(const std::vector<std::string>& workloads) const {
+    std::string known;
+    for (const std::string& w : workloads) {
+      if (selects(w)) return;
+      known += (known.empty() ? "" : ", ") + w;
+    }
+    option_error("--workload=" + workload_filter +
+                 " names no workload of this bench (" + known + ")");
+  }
 };
+
+// Suffix for a table heading: which cs_work setting the table measures.
+inline const char* work_tag(std::uint32_t work) {
+  return work == 0 ? " [paper parameters]" : " [contention-amplified]";
+}
 
 inline void print_header(const char* figure, const char* description) {
   std::printf("==============================================================\n");
@@ -208,5 +233,88 @@ class BenchReport {
   std::string trace_path_;
   harness::JsonReport report_;
 };
+
+// ---- The paper's §3 engine roster ----------------------------------------
+
+// HCF's class table for one data structure (adapters::*_paper_config) and
+// its publication-array count.
+struct HcfClasses {
+  std::vector<core::ClassConfig> classes;
+  std::size_t arrays = 1;
+};
+
+// The §3 comparison columns, in the paper's order.
+inline const std::vector<std::string> kPaperRoster{"Lock", "TLE", "FC",
+                                                   "SCM", "TLE+FC", "HCF"};
+
+template <typename E, typename DS, typename Run, typename... Args>
+harness::RunResult run_as(DS& ds, Run& run, Args&&... args) {
+  E engine(ds, std::forward<Args>(args)...);
+  return run(engine);
+}
+
+// Builds the engine `name` (a kPaperRoster column or "HCF-1C") over `ds`
+// and returns run(engine); reclamation is drained once the engine is gone.
+template <typename DS, typename Run>
+harness::RunResult run_engine(const std::string& name, DS& ds,
+                              const HcfClasses& hcf, Run&& run) {
+  harness::RunResult result;
+  if (name == "Lock") {
+    result = run_as<core::LockEngine<DS>>(ds, run);
+  } else if (name == "TLE") {
+    result = run_as<core::TleEngine<DS>>(ds, run);
+  } else if (name == "FC") {
+    result = run_as<core::FcEngine<DS>>(ds, run);
+  } else if (name == "SCM") {
+    result = run_as<core::ScmEngine<DS>>(ds, run);
+  } else if (name == "TLE+FC") {
+    result = run_as<core::TleFcEngine<DS>>(ds, run);
+  } else if (name == "HCF") {
+    result = run_as<core::HcfEngine<DS>>(ds, run, hcf.classes, hcf.arrays);
+  } else if (name == "HCF-1C") {
+    result = run_as<core::HcfSingleCombinerEngine<DS>>(ds, run, hcf.classes,
+                                                       hcf.arrays);
+  } else {
+    std::fprintf(stderr, "unknown engine '%s'\n", name.c_str());
+    std::abort();
+  }
+  mem::EbrDomain::instance().drain();
+  return result;
+}
+
+// The roster sweep: panel x cs_work x threads x engine, one throughput
+// table per (panel, cs_work). `panels` holds the bench's own panel type
+// with a `tag` (what --workload selects); begin_table(panel, work) prints
+// the table's heading and returns its JSON workload key, and
+// run_cell(panel, work, engine, threads) measures one cell.
+template <typename Panels, typename BeginTable, typename RunCell>
+void roster_sweep(const BenchOptions& opts, BenchReport& report,
+                  const Panels& panels,
+                  const std::vector<std::string>& engines,
+                  const std::vector<std::uint32_t>& works,
+                  BeginTable&& begin_table, RunCell&& run_cell) {
+  std::vector<std::string> tags;
+  for (const auto& panel : panels) tags.emplace_back(panel.tag);
+  opts.require_workload(tags);
+  std::vector<std::string> header{"threads"};
+  header.insert(header.end(), engines.begin(), engines.end());
+  for (const auto& panel : panels) {
+    if (!opts.selects(panel.tag)) continue;
+    for (const std::uint32_t work : works) {
+      const std::string workload = begin_table(panel, work);
+      util::TextTable table(header);
+      for (const std::size_t threads : opts.threads) {
+        std::vector<std::string> row{std::to_string(threads)};
+        for (const std::string& engine : engines) {
+          const auto result = run_cell(panel, work, engine, threads);
+          report.add(workload, engine, threads, work, result);
+          row.push_back(util::TextTable::num(result.throughput_mops()));
+        }
+        table.add_row(std::move(row));
+      }
+      table.print(std::cout);
+    }
+  }
+}
 
 }  // namespace hcf::bench

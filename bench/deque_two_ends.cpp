@@ -5,12 +5,11 @@
 // ends at random ("mixed" mode).
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
-#include "core/engine.hpp"
 #include "harness/issuers.hpp"
-#include "mem/ebr.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -25,79 +24,44 @@ std::unique_ptr<Dq> make_prefilled() {
   return dq;
 }
 
-template <typename Engine>
-harness::RunResult run_one(Engine& engine, bool split, std::size_t threads,
-                           const harness::DriverOptions& options) {
-  return harness::run_timed(
-      engine, threads,
-      [&](std::size_t t) {
-        const int pin_side = split ? static_cast<int>(t % 2) : -1;
-        return harness::DequeWorker<Engine>(engine, kPushPct, 7 + t * 3,
-                                            pin_side);
-      },
-      options);
-}
-
-harness::RunResult run_named(const std::string& name, bool split,
-                             std::size_t threads,
-                             const harness::DriverOptions& options) {
-  auto dq = make_prefilled();
-  harness::RunResult result;
-  if (name == "Lock") {
-    core::LockEngine<Dq> e(*dq);
-    result = run_one(e, split, threads, options);
-  } else if (name == "TLE") {
-    core::TleEngine<Dq> e(*dq);
-    result = run_one(e, split, threads, options);
-  } else if (name == "FC") {
-    core::FcEngine<Dq> e(*dq);
-    result = run_one(e, split, threads, options);
-  } else if (name == "SCM") {
-    core::ScmEngine<Dq> e(*dq);
-    result = run_one(e, split, threads, options);
-  } else if (name == "TLE+FC") {
-    core::TleFcEngine<Dq> e(*dq);
-    result = run_one(e, split, threads, options);
-  } else if (name == "HCF") {
-    core::HcfEngine<Dq> e(*dq, adapters::deque_paper_config(),
-                          adapters::kDequeNumArrays);
-    result = run_one(e, split, threads, options);
-  } else {  // HCF-1C
-    core::HcfSingleCombinerEngine<Dq> e(*dq, adapters::deque_paper_config(),
-                                        adapters::kDequeNumArrays);
-    result = run_one(e, split, threads, options);
-  }
-  mem::EbrDomain::instance().drain();
-  return result;
-}
-
-const char* kEngines[] = {"Lock", "TLE", "FC", "SCM", "TLE+FC", "HCF",
-                          "HCF-1C"};
+struct Panel {
+  const char* tag;  // also the JSON workload key
+  bool split;
+};
+const Panel kPanels[] = {{"split", true}, {"mixed", false}};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = hcf::bench::BenchOptions::parse(argc, argv);
-  hcf::bench::BenchReport report(opts, "deque_two_ends");
+  auto opts = bench::BenchOptions::parse(argc, argv);
+  bench::BenchReport report(opts, "deque_two_ends");
   bench::print_header("Deque (paper §2.4)",
                       "two-ends deque, per-end publication arrays (Mops/s)");
 
-  for (bool split : {true, false}) {
-    std::printf("\n%s mode (60%% push / 40%% pop):\n",
-                split ? "split (threads pinned per end)" : "mixed");
-    std::vector<std::string> header{"threads"};
-    for (const char* e : kEngines) header.push_back(e);
-    util::TextTable table(header);
-    for (std::size_t threads : opts.threads) {
-      std::vector<std::string> row{std::to_string(threads)};
-      for (const char* engine : kEngines) {
-        const auto result = run_named(engine, split, threads, opts.driver);
-        report.add(split ? "split" : "mixed", engine, threads, 0, result);
-        row.push_back(util::TextTable::num(result.throughput_mops()));
-      }
-      table.add_row(std::move(row));
-    }
-    table.print(std::cout);
-  }
+  std::vector<std::string> engines = bench::kPaperRoster;
+  engines.push_back("HCF-1C");
+  const bench::HcfClasses paper_hcf{adapters::deque_paper_config(),
+                                    adapters::kDequeNumArrays};
+  // The deque workload has no critical-section work knob: cs_work 0 only.
+  bench::roster_sweep(
+      opts, report, kPanels, engines, {0},
+      [](const Panel& panel, std::uint32_t) {
+        std::printf("\n%s mode (60%% push / 40%% pop):\n",
+                    panel.split ? "split (threads pinned per end)" : "mixed");
+        return std::string(panel.tag);
+      },
+      [&](const Panel& panel, std::uint32_t, const std::string& engine,
+          std::size_t threads) {
+        auto dq = make_prefilled();
+        return bench::run_engine(engine, *dq, paper_hcf, [&](auto& e) {
+          return harness::run_timed(
+              e, threads,
+              [&](std::size_t t) {
+                const int pin_side = panel.split ? static_cast<int>(t % 2) : -1;
+                return harness::DequeWorker(e, kPushPct, 7 + t * 3, pin_side);
+              },
+              opts.driver);
+        });
+      });
   return report.finish();
 }

@@ -9,10 +9,7 @@
 #include <memory>
 
 #include "bench_util.hpp"
-#include "core/engine.hpp"
 #include "harness/issuers.hpp"
-#include "mem/ebr.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -30,93 +27,53 @@ std::unique_ptr<Table> make_prefilled_table(const harness::WorkloadSpec& spec) {
   return table;
 }
 
-template <typename Engine>
-harness::RunResult run_one(Engine& engine, const harness::WorkloadSpec& spec,
-                           std::size_t threads,
-                           const harness::DriverOptions& options) {
-  return harness::run_timed(
-      engine, threads,
-      [&](std::size_t t) {
-        return harness::HtWorker<Engine>(engine, spec, 17 + t * 7919);
-      },
-      options);
-}
+struct Panel {
+  const char* id;
+  const char* tag;
+  int find_pct;
+};
+const Panel kPanels[] = {
+    {"2(a)", "100f", 100}, {"2(b)", "80f", 80}, {"2(c)", "40f", 40}};
 
-harness::RunResult run_named(const std::string& name,
-                             const harness::WorkloadSpec& spec,
-                             std::size_t threads,
-                             const harness::DriverOptions& options) {
-  auto table = make_prefilled_table(spec);
-  harness::RunResult result;
-  if (name == "Lock") {
-    core::LockEngine<Table> e(*table);
-    result = run_one(e, spec, threads, options);
-  } else if (name == "TLE") {
-    core::TleEngine<Table> e(*table);
-    result = run_one(e, spec, threads, options);
-  } else if (name == "FC") {
-    core::FcEngine<Table> e(*table);
-    result = run_one(e, spec, threads, options);
-  } else if (name == "SCM") {
-    core::ScmEngine<Table> e(*table);
-    result = run_one(e, spec, threads, options);
-  } else if (name == "TLE+FC") {
-    core::TleFcEngine<Table> e(*table);
-    result = run_one(e, spec, threads, options);
-  } else {  // HCF
-    core::HcfEngine<Table> e(*table, adapters::ht_paper_config(),
-                             adapters::kHtNumArrays);
-    result = run_one(e, spec, threads, options);
-  }
-  mem::EbrDomain::instance().drain();
-  return result;
+harness::WorkloadSpec spec_of(const Panel& panel, std::uint32_t work) {
+  auto spec = harness::WorkloadSpec::reads(panel.find_pct, kKeyRange);
+  spec.cs_work = work;
+  return spec;
 }
-
-const char* kEngines[] = {"Lock", "TLE", "FC", "SCM", "TLE+FC", "HCF"};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = hcf::bench::BenchOptions::parse(argc, argv);
-  hcf::bench::BenchReport report(opts, "fig2_hash_table");
-  hcf::bench::print_header(
+  auto opts = bench::BenchOptions::parse(argc, argv);
+  bench::BenchReport report(opts, "fig2_hash_table");
+  bench::print_header(
       "Figure 2", "hash table throughput (Mops/s), 16K keys/buckets");
 
-  struct Panel {
-    const char* id;
-    const char* tag;
-    int find_pct;
-  };
-  const Panel panels[] = {
-      {"2(a)", "100f", 100}, {"2(b)", "80f", 80}, {"2(c)", "40f", 40}};
-
-  for (const auto& panel : panels) {
-    if (!opts.workload_filter.empty() && opts.workload_filter != panel.tag) {
-      continue;
-    }
-    for (const std::uint32_t work : opts.work_settings()) {
-    auto spec = hcf::harness::WorkloadSpec::reads(panel.find_pct, kKeyRange);
-    spec.cs_work = work;
-    std::printf("\nFig %s: workload %s (key range %llu, prefill %llu)%s\n",
-                panel.id, spec.label().c_str(),
-                static_cast<unsigned long long>(spec.key_range),
-                static_cast<unsigned long long>(spec.prefill),
-                work == 0 ? " [paper parameters]"
-                          : " [contention-amplified]");
-    std::vector<std::string> header{"threads"};
-    for (const char* e : kEngines) header.push_back(e);
-    hcf::util::TextTable table(header);
-    for (std::size_t threads : opts.threads) {
-      std::vector<std::string> row{std::to_string(threads)};
-      for (const char* engine : kEngines) {
-        const auto result = run_named(engine, spec, threads, opts.driver);
-        report.add(spec.label(), engine, threads, work, result);
-        row.push_back(hcf::util::TextTable::num(result.throughput_mops()));
-      }
-      table.add_row(std::move(row));
-    }
-    table.print(std::cout);
-    }
-  }
+  const bench::HcfClasses paper_hcf{adapters::ht_paper_config(),
+                                    adapters::kHtNumArrays};
+  bench::roster_sweep(
+      opts, report, kPanels, bench::kPaperRoster, opts.work_settings(),
+      [](const Panel& panel, std::uint32_t work) {
+        const auto spec = spec_of(panel, work);
+        std::printf("\nFig %s: workload %s (key range %llu, prefill %llu)%s\n",
+                    panel.id, spec.label().c_str(),
+                    static_cast<unsigned long long>(spec.key_range),
+                    static_cast<unsigned long long>(spec.prefill),
+                    bench::work_tag(work));
+        return spec.label();
+      },
+      [&](const Panel& panel, std::uint32_t work, const std::string& engine,
+          std::size_t threads) {
+        const auto spec = spec_of(panel, work);
+        auto table = make_prefilled_table(spec);
+        return bench::run_engine(engine, *table, paper_hcf, [&](auto& e) {
+          return harness::run_timed(
+              e, threads,
+              [&](std::size_t t) {
+                return harness::HtWorker(e, spec, 17 + t * 7919);
+              },
+              opts.driver);
+        });
+      });
   return report.finish();
 }

@@ -11,9 +11,7 @@
 #include <memory>
 
 #include "bench_util.hpp"
-#include "core/engine.hpp"
 #include "harness/issuers.hpp"
-#include "mem/ebr.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -23,82 +21,59 @@ using Table = ds::HashTable<std::uint64_t, std::uint64_t>;
 
 constexpr std::uint64_t kKeyRange = 16 * 1024;
 
-template <typename Engine>
-harness::RunResult run_one(Engine& engine, const harness::WorkloadSpec& spec,
-                           std::size_t threads,
-                           const harness::DriverOptions& options) {
-  harness::DriverOptions with_latency = options;
-  with_latency.measure_latency = true;
-  return harness::run_timed(
-      engine, threads,
-      [&](std::size_t t) {
-        return harness::HtWorker<Engine>(engine, spec, 53 + t * 13);
-      },
-      with_latency);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = hcf::bench::BenchOptions::parse(argc, argv);
-  hcf::bench::BenchReport report(opts, "fig4_combining_stats");
+  auto opts = bench::BenchOptions::parse(argc, argv);
+  bench::BenchReport report(opts, "fig4_combining_stats");
   bench::print_header(
       "Figure 4",
       "lock acquisitions, combining degree, cache-traffic proxy (HT, 40% Find)");
 
-  const char* engines[] = {"Lock", "TLE", "FC", "SCM", "TLE+FC", "HCF"};
-
+  // One workload: the 40%-Find hash table, as in the paper.
+  opts.require_workload({"40f"});
+  harness::DriverOptions with_latency = opts.driver;
+  with_latency.measure_latency = true;
+  const bench::HcfClasses paper_hcf{adapters::ht_paper_config(),
+                                    adapters::kHtNumArrays};
   for (const std::uint32_t work : opts.work_settings()) {
-  auto spec = harness::WorkloadSpec::reads(40, kKeyRange);
-  spec.cs_work = work;
-  std::printf("\n=== %s ===\n", work == 0 ? "paper parameters"
-                                            : "contention-amplified");
-  for (const char* name : engines) {
-    std::printf("\n%s:\n", name);
-    util::TextTable table({"threads", "mops", "locks/kop", "combine-degree",
-                           "aborts/op", "shared-acc/op", "p50us", "p99us"});
-    for (std::size_t threads : opts.threads) {
-      auto ds = std::make_unique<Table>(spec.key_range);
-      for (std::uint64_t k = 0; k < spec.prefill; ++k) {
-        ds->insert(k * 2 % spec.key_range, (k * 2 % spec.key_range) * 2 + 1);
+    auto spec = harness::WorkloadSpec::reads(40, kKeyRange);
+    spec.cs_work = work;
+    std::printf("\n=== %s ===\n", work == 0 ? "paper parameters"
+                                              : "contention-amplified");
+    for (const std::string& name : bench::kPaperRoster) {
+      std::printf("\n%s:\n", name.c_str());
+      util::TextTable table({"threads", "mops", "locks/kop", "combine-degree",
+                             "aborts/op", "shared-acc/op", "p50us", "p99us"});
+      for (std::size_t threads : opts.threads) {
+        auto ds = std::make_unique<Table>(spec.key_range);
+        for (std::uint64_t k = 0; k < spec.prefill; ++k) {
+          ds->insert(k * 2 % spec.key_range, (k * 2 % spec.key_range) * 2 + 1);
+        }
+        const auto result =
+            bench::run_engine(name, *ds, paper_hcf, [&](auto& e) {
+              return harness::run_timed(
+                  e, threads,
+                  [&](std::size_t t) {
+                    return harness::HtWorker(e, spec, 53 + t * 13);
+                  },
+                  with_latency);
+            });
+        report.add(spec.label(), name, threads, work, result);
+        table.add_row(
+            {std::to_string(threads),
+             util::TextTable::num(result.throughput_mops()),
+             util::TextTable::num(result.lock_rate_per_kop()),
+             util::TextTable::num(result.engine.combining_degree()),
+             util::TextTable::num(result.aborts_per_op()),
+             util::TextTable::num(result.shared_accesses_per_op()),
+             util::TextTable::num(
+                 static_cast<double>(result.latency_p50_ns) / 1000.0),
+             util::TextTable::num(
+                 static_cast<double>(result.latency_p99_ns) / 1000.0)});
       }
-      harness::RunResult result;
-      const std::string n = name;
-      if (n == "Lock") {
-        core::LockEngine<Table> e(*ds);
-        result = run_one(e, spec, threads, opts.driver);
-      } else if (n == "TLE") {
-        core::TleEngine<Table> e(*ds);
-        result = run_one(e, spec, threads, opts.driver);
-      } else if (n == "FC") {
-        core::FcEngine<Table> e(*ds);
-        result = run_one(e, spec, threads, opts.driver);
-      } else if (n == "SCM") {
-        core::ScmEngine<Table> e(*ds);
-        result = run_one(e, spec, threads, opts.driver);
-      } else if (n == "TLE+FC") {
-        core::TleFcEngine<Table> e(*ds);
-        result = run_one(e, spec, threads, opts.driver);
-      } else {
-        core::HcfEngine<Table> e(*ds, adapters::ht_paper_config(),
-                                 adapters::kHtNumArrays);
-        result = run_one(e, spec, threads, opts.driver);
-      }
-      report.add(spec.label(), name, threads, work, result);
-      table.add_row({std::to_string(threads),
-                     util::TextTable::num(result.throughput_mops()),
-                     util::TextTable::num(result.lock_rate_per_kop()),
-                     util::TextTable::num(result.engine.combining_degree()),
-                     util::TextTable::num(result.aborts_per_op()),
-                     util::TextTable::num(result.shared_accesses_per_op()),
-                     util::TextTable::num(
-                         static_cast<double>(result.latency_p50_ns) / 1000.0),
-                     util::TextTable::num(
-                         static_cast<double>(result.latency_p99_ns) / 1000.0)});
-      mem::EbrDomain::instance().drain();
+      table.print(std::cout);
     }
-    table.print(std::cout);
-  }
   }
   return report.finish();
 }

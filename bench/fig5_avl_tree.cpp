@@ -7,10 +7,7 @@
 #include <memory>
 
 #include "bench_util.hpp"
-#include "core/engine.hpp"
 #include "harness/issuers.hpp"
-#include "mem/ebr.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -26,91 +23,51 @@ std::unique_ptr<Tree> make_prefilled_tree() {
   return tree;
 }
 
-template <typename Engine>
-harness::RunResult run_one(Engine& engine, const harness::WorkloadSpec& spec,
-                           std::size_t threads,
-                           const harness::DriverOptions& options) {
-  return harness::run_timed(
-      engine, threads,
-      [&](std::size_t t) {
-        return harness::AvlWorker<Engine>(engine, spec, 71 + t * 31);
-      },
-      options);
-}
+struct Panel {
+  const char* id;
+  const char* tag;
+  int find_pct;
+};
+const Panel kPanels[] = {
+    {"5(a)", "0f", 0}, {"5(b)", "40f", 40}, {"5(c)", "80f", 80}};
 
-harness::RunResult run_named(const std::string& name,
-                             const harness::WorkloadSpec& spec,
-                             std::size_t threads,
-                             const harness::DriverOptions& options) {
-  auto tree = make_prefilled_tree();
-  harness::RunResult result;
-  if (name == "Lock") {
-    core::LockEngine<Tree> e(*tree);
-    result = run_one(e, spec, threads, options);
-  } else if (name == "TLE") {
-    core::TleEngine<Tree> e(*tree);
-    result = run_one(e, spec, threads, options);
-  } else if (name == "FC") {
-    core::FcEngine<Tree> e(*tree);
-    result = run_one(e, spec, threads, options);
-  } else if (name == "SCM") {
-    core::ScmEngine<Tree> e(*tree);
-    result = run_one(e, spec, threads, options);
-  } else if (name == "TLE+FC") {
-    core::TleFcEngine<Tree> e(*tree);
-    result = run_one(e, spec, threads, options);
-  } else {
-    core::HcfEngine<Tree> e(*tree, adapters::avl_paper_config(), 1);
-    result = run_one(e, spec, threads, options);
-  }
-  mem::EbrDomain::instance().drain();
-  return result;
+harness::WorkloadSpec spec_of(const Panel& panel, std::uint32_t work) {
+  auto spec = harness::WorkloadSpec::reads(panel.find_pct, kKeyRange,
+                                           harness::KeyDist::Zipfian, kTheta);
+  spec.cs_work = work;
+  return spec;
 }
-
-const char* kEngines[] = {"Lock", "TLE", "FC", "SCM", "TLE+FC", "HCF"};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = hcf::bench::BenchOptions::parse(argc, argv);
-  hcf::bench::BenchReport report(opts, "fig5_avl_tree");
+  auto opts = bench::BenchOptions::parse(argc, argv);
+  bench::BenchReport report(opts, "fig5_avl_tree");
   bench::print_header(
       "Figure 5",
       "AVL set throughput (Mops/s), keys [0..1023], Zipf theta=0.9");
 
-  struct Panel {
-    const char* id;
-    const char* tag;
-    int find_pct;
-  };
-  const Panel panels[] = {{"5(a)", "0f", 0}, {"5(b)", "40f", 40},
-                          {"5(c)", "80f", 80}};
-
-  for (const auto& panel : panels) {
-    if (!opts.workload_filter.empty() && opts.workload_filter != panel.tag) {
-      continue;
-    }
-    for (const std::uint32_t work : opts.work_settings()) {
-    auto spec = harness::WorkloadSpec::reads(
-        panel.find_pct, kKeyRange, harness::KeyDist::Zipfian, kTheta);
-    spec.cs_work = work;
-    std::printf("\nFig %s: workload %s%s\n", panel.id, spec.label().c_str(),
-                work == 0 ? " [paper parameters]"
-                          : " [contention-amplified]");
-    std::vector<std::string> header{"threads"};
-    for (const char* e : kEngines) header.push_back(e);
-    util::TextTable table(header);
-    for (std::size_t threads : opts.threads) {
-      std::vector<std::string> row{std::to_string(threads)};
-      for (const char* engine : kEngines) {
-        const auto result = run_named(engine, spec, threads, opts.driver);
-        report.add(spec.label(), engine, threads, work, result);
-        row.push_back(util::TextTable::num(result.throughput_mops()));
-      }
-      table.add_row(std::move(row));
-    }
-    table.print(std::cout);
-    }
-  }
+  const bench::HcfClasses paper_hcf{adapters::avl_paper_config(), 1};
+  bench::roster_sweep(
+      opts, report, kPanels, bench::kPaperRoster, opts.work_settings(),
+      [](const Panel& panel, std::uint32_t work) {
+        const auto spec = spec_of(panel, work);
+        std::printf("\nFig %s: workload %s%s\n", panel.id,
+                    spec.label().c_str(), bench::work_tag(work));
+        return spec.label();
+      },
+      [&](const Panel& panel, std::uint32_t work, const std::string& engine,
+          std::size_t threads) {
+        const auto spec = spec_of(panel, work);
+        auto tree = make_prefilled_tree();
+        return bench::run_engine(engine, *tree, paper_hcf, [&](auto& e) {
+          return harness::run_timed(
+              e, threads,
+              [&](std::size_t t) {
+                return harness::AvlWorker(e, spec, 71 + t * 31);
+              },
+              opts.driver);
+        });
+      });
   return report.finish();
 }

@@ -10,8 +10,6 @@
 #include "bench_util.hpp"
 #include "harness/workload.hpp"
 #include "core/engine.hpp"
-#include "mem/ebr.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -62,75 +60,44 @@ std::unique_ptr<List> make_prefilled() {
   return list;
 }
 
-template <typename Engine>
-harness::RunResult run_one(Engine& engine, const harness::WorkloadSpec& spec,
-                           std::size_t threads,
-                           const harness::DriverOptions& options) {
-  return harness::run_timed(
-      engine, threads,
-      [&](std::size_t t) { return ListWorker(engine, spec, 5 + t * 7); },
-      options);
-}
+struct Panel {
+  const char* tag;
+  int find_pct;
+};
+const Panel kPanels[] = {{"90f", 90}, {"20f", 20}};
 
-harness::RunResult run_named(const std::string& name,
-                             const harness::WorkloadSpec& spec,
-                             std::size_t threads,
-                             const harness::DriverOptions& options) {
-  auto list = make_prefilled();
-  harness::RunResult result;
-  if (name == "Lock") {
-    core::LockEngine<List> e(*list);
-    result = run_one(e, spec, threads, options);
-  } else if (name == "TLE") {
-    core::TleEngine<List> e(*list);
-    result = run_one(e, spec, threads, options);
-  } else if (name == "FC") {
-    core::FcEngine<List> e(*list);
-    result = run_one(e, spec, threads, options);
-  } else if (name == "SCM") {
-    core::ScmEngine<List> e(*list);
-    result = run_one(e, spec, threads, options);
-  } else if (name == "TLE+FC") {
-    core::TleFcEngine<List> e(*list);
-    result = run_one(e, spec, threads, options);
-  } else {
-    core::HcfEngine<List> e(*list, adapters::list_paper_config(), 1);
-    result = run_one(e, spec, threads, options);
-  }
-  mem::EbrDomain::instance().drain();
-  return result;
+harness::WorkloadSpec spec_of(const Panel& panel, std::uint32_t work) {
+  auto spec = harness::WorkloadSpec::reads(panel.find_pct, kKeyRange);
+  spec.cs_work = work;
+  return spec;
 }
-
-const char* kEngines[] = {"Lock", "TLE", "FC", "SCM", "TLE+FC", "HCF"};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = hcf::bench::BenchOptions::parse(argc, argv);
-  hcf::bench::BenchReport report(opts, "list_combining");
+  auto opts = bench::BenchOptions::parse(argc, argv);
+  bench::BenchReport report(opts, "list_combining");
   bench::print_header("Sorted list", "single-traversal batch combining");
 
-  for (const std::uint32_t work : opts.work_settings()) {
-    for (int find_pct : {90, 20}) {
-      auto spec = harness::WorkloadSpec::reads(find_pct, kKeyRange);
-      spec.cs_work = work;
-      std::printf("\nworkload %s%s:\n", spec.label().c_str(),
-                  work == 0 ? " [paper parameters]"
-                            : " [contention-amplified]");
-      std::vector<std::string> header{"threads"};
-      for (const char* e : kEngines) header.push_back(e);
-      util::TextTable table(header);
-      for (std::size_t threads : opts.threads) {
-        std::vector<std::string> row{std::to_string(threads)};
-        for (const char* engine : kEngines) {
-          const auto result = run_named(engine, spec, threads, opts.driver);
-          report.add(spec.label(), engine, threads, work, result);
-          row.push_back(util::TextTable::num(result.throughput_mops()));
-        }
-        table.add_row(std::move(row));
-      }
-      table.print(std::cout);
-    }
-  }
+  const bench::HcfClasses paper_hcf{adapters::list_paper_config(), 1};
+  bench::roster_sweep(
+      opts, report, kPanels, bench::kPaperRoster, opts.work_settings(),
+      [](const Panel& panel, std::uint32_t work) {
+        const auto spec = spec_of(panel, work);
+        std::printf("\nworkload %s%s:\n", spec.label().c_str(),
+                    bench::work_tag(work));
+        return spec.label();
+      },
+      [&](const Panel& panel, std::uint32_t work, const std::string& engine,
+          std::size_t threads) {
+        const auto spec = spec_of(panel, work);
+        auto list = make_prefilled();
+        return bench::run_engine(engine, *list, paper_hcf, [&](auto& e) {
+          return harness::run_timed(
+              e, threads,
+              [&](std::size_t t) { return ListWorker(e, spec, 5 + t * 7); },
+              opts.driver);
+        });
+      });
   return report.finish();
 }

@@ -5,12 +5,10 @@
 // the private/visible HTM attempts and goes straight to combining).
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "bench_util.hpp"
-#include "core/engine.hpp"
 #include "harness/issuers.hpp"
-#include "mem/ebr.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -29,89 +27,52 @@ std::unique_ptr<Pq> make_prefilled() {
   return pq;
 }
 
-template <typename Engine>
-harness::RunResult run_one(Engine& engine, int insert_pct,
-                           std::size_t threads,
-                           const harness::DriverOptions& options,
-                           std::uint32_t cs_work) {
-  return harness::run_timed(
-      engine, threads,
-      [&](std::size_t t) {
-        return harness::PqWorker<Engine>(engine, insert_pct, kKeyRange,
-                                         91 + t * 47, cs_work);
-      },
-      options);
-}
-
-harness::RunResult run_named(const std::string& name, int insert_pct,
-                             std::size_t threads,
-                             const harness::DriverOptions& options,
-                             std::uint32_t cs_work) {
-  auto pq = make_prefilled();
-  harness::RunResult result;
-  if (name == "Lock") {
-    core::LockEngine<Pq> e(*pq);
-    result = run_one(e, insert_pct, threads, options, cs_work);
-  } else if (name == "TLE") {
-    core::TleEngine<Pq> e(*pq);
-    result = run_one(e, insert_pct, threads, options, cs_work);
-  } else if (name == "FC") {
-    core::FcEngine<Pq> e(*pq);
-    result = run_one(e, insert_pct, threads, options, cs_work);
-  } else if (name == "SCM") {
-    core::ScmEngine<Pq> e(*pq);
-    result = run_one(e, insert_pct, threads, options, cs_work);
-  } else if (name == "TLE+FC") {
-    core::TleFcEngine<Pq> e(*pq);
-    result = run_one(e, insert_pct, threads, options, cs_work);
-  } else {
-    // §2.4: with one publication array per operation type, the paper uses
-    // the specialized single-combiner variant — the combiner holds the
-    // selection lock for its whole run, so waiting RemoveMins accumulate
-    // into large combined batches.
-    core::HcfSingleCombinerEngine<Pq> e(*pq, adapters::pq_paper_config(),
-                                        adapters::kPqNumArrays);
-    result = run_one(e, insert_pct, threads, options, cs_work);
-  }
-  mem::EbrDomain::instance().drain();
-  return result;
-}
-
-const char* kEngines[] = {"Lock", "TLE", "FC", "SCM", "TLE+FC", "HCF"};
+struct Panel {
+  const char* tag;  // also the JSON workload key
+  int insert_pct;
+};
+const Panel kPanels[] = {{"100i/0rm", 100},
+                         {"50i/50rm", 50},
+                         {"20i/80rm", 20},
+                         {"0i/100rm", 0}};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = hcf::bench::BenchOptions::parse(argc, argv);
-  hcf::bench::BenchReport report(opts, "pq_motivation");
+  auto opts = bench::BenchOptions::parse(argc, argv);
+  bench::BenchReport report(opts, "pq_motivation");
   bench::print_header(
       "PQ motivation (paper §1/§3.1)",
       "skip-list priority queue, Insert vs RemoveMin mixes (Mops/s)");
 
-  for (const std::uint32_t work : opts.work_settings()) {
-  std::printf("\n=== %s ===\n", work == 0 ? "paper parameters"
-                                            : "contention-amplified");
-  for (int insert_pct : {100, 50, 20, 0}) {
-    std::printf("\n%d%% Insert / %d%% RemoveMin (prefill %llu):\n",
-                insert_pct, 100 - insert_pct,
-                static_cast<unsigned long long>(kPrefill));
-    std::vector<std::string> header{"threads"};
-    for (const char* e : kEngines) header.push_back(e);
-    util::TextTable table(header);
-    for (std::size_t threads : opts.threads) {
-      std::vector<std::string> row{std::to_string(threads)};
-      for (const char* engine : kEngines) {
-        const auto result = run_named(engine, insert_pct, threads,
-                                      opts.driver, work);
-        report.add(std::to_string(insert_pct) + "i/" +
-                       std::to_string(100 - insert_pct) + "rm",
-                   engine, threads, work, result);
-        row.push_back(util::TextTable::num(result.throughput_mops()));
-      }
-      table.add_row(std::move(row));
-    }
-    table.print(std::cout);
-  }
-  }
+  const bench::HcfClasses paper_hcf{adapters::pq_paper_config(),
+                                    adapters::kPqNumArrays};
+  bench::roster_sweep(
+      opts, report, kPanels, bench::kPaperRoster, opts.work_settings(),
+      [](const Panel& panel, std::uint32_t work) {
+        std::printf("\n%d%% Insert / %d%% RemoveMin (prefill %llu)%s:\n",
+                    panel.insert_pct, 100 - panel.insert_pct,
+                    static_cast<unsigned long long>(kPrefill),
+                    bench::work_tag(work));
+        return std::string(panel.tag);
+      },
+      [&](const Panel& panel, std::uint32_t work, const std::string& engine,
+          std::size_t threads) {
+        auto pq = make_prefilled();
+        // §2.4: with one publication array per operation type, the paper's
+        // HCF is the single-combiner variant — the combiner holds the
+        // selection lock for its whole run, so waiting RemoveMins
+        // accumulate into large combined batches.
+        const std::string variant = engine == "HCF" ? "HCF-1C" : engine;
+        return bench::run_engine(variant, *pq, paper_hcf, [&](auto& e) {
+          return harness::run_timed(
+              e, threads,
+              [&](std::size_t t) {
+                return harness::PqWorker(e, panel.insert_pct, kKeyRange,
+                                         91 + t * 47, work);
+              },
+              opts.driver);
+        });
+      });
   return report.finish();
 }

@@ -22,6 +22,7 @@
 //   mode             policy (per class)            engine        paper
 //   Multi            paper_default() {2,3,5,on}    HcfEngine     HCF §2.1
 //   SingleHolder     paper_default()               Hcf-1C        §2.4
+//   SingleHolder     {5,0,5,off}                   ScmEngine     SCM §3
 //   None             tle_like(b)    {b,0,0,off}    TleEngine     TLE §3
 //   None             {0,0,0,off}                   LockEngine    Lock §3
 //   UnderGlobalLock  fc_like()      {0,0,0,on}     FcEngine      FC §3
@@ -183,7 +184,11 @@ concept PolicyConfigurable =
 //                     owners' visible attempts.
 //   SingleHolder    — §2.4 specialization: the combiner keeps the
 //                     selection lock for the whole combining phase, so
-//                     BeingHelped is unnecessary (Announced -> Done).
+//                     BeingHelped is unnecessary (Announced -> Done). A
+//                     never-announcing class holds it too while it retries
+//                     its own op on HTM: no speculator subscribes to it,
+//                     so conflicting retries serialize while everyone
+//                     else keeps speculating — SCM's auxiliary lock.
 //   UnderGlobalLock — flat combining: the data-structure lock doubles as
 //                     the selection lock, and all combining runs under it.
 enum class CombinerMode : std::uint8_t {
@@ -396,12 +401,12 @@ class PhaseMachine {
     // before the frame (and the groups' done words) goes away.
     DelegationSession<DS> session;
     std::size_t session_ops = 0;
-    bool holding_selection = false;
+    SelectionHold selection{pa};
     bool done_combining;
     if (policy.announce || policy.try_combining > 0) {
       telemetry::phase_enter(static_cast<int>(Phase::Combining));
       done_combining = try_combining(op, pa, policy, ops_to_help, session,
-                                     session_ops, holding_selection);
+                                     session_ops, selection);
       telemetry::phase_exit(static_cast<int>(Phase::Combining),
                             done_combining);
     } else {
@@ -435,19 +440,25 @@ class PhaseMachine {
     // bin-capacity and EBR-collect flushes batch them across sessions
     // instead of shipping about one block per CAS.
     if (session_ops > 1) mem::flush_remote_frees();
-    if constexpr (kMode == CombinerMode::SingleHolder) {
-      release_selection_if_held(pa, holding_selection);
-    }
     return op.completed_phase();
   }
 
-  // tsa: counterpart of try_combining's deferred release — whether the
-  // selection lock is held here depends on the runtime `holding` flag set
-  // two frames down, a protocol shape outside TSA's block-scoped model.
-  // SingleHolder-only; Multi releases inside try_combining itself.
-  NO_THREAD_SAFETY_ANALYSIS
-  void release_selection_if_held(PubArray& pa, bool holding) {
-    if (holding) {
+  // SingleHolder's hold on an array's selection lock across a whole
+  // combining session: try_combining sets `held` once it owns the lock,
+  // and the destructor releases it on every exit from
+  // visible_then_combine — an exception thrown by an op body included.
+  // Multi releases inside try_combining and never sets `held`.
+  struct SelectionHold {
+    PubArray& pa;
+    bool held = false;
+
+    // tsa: counterpart of try_combining's deferred release — whether the
+    // selection lock is held here depends on the runtime `held` flag that
+    // try_combining sets, a protocol shape outside TSA's block-scoped
+    // model.
+    NO_THREAD_SAFETY_ANALYSIS
+    ~SelectionHold() {
+      if (!held) return;
       pa.selection_lock().unlock();
       // Liveness (§12): a competition loser may have parked on the epoch
       // just after this session's final publish; the release is its last
@@ -455,19 +466,20 @@ class PhaseMachine {
       pa.wake_epoch_waiters();
       telemetry::sel_lock_released();
     }
-  }
+  };
 
   // ---- Phase 3 -------------------------------------------------------
   // Returns true iff nothing is left for CombineUnderLock. The caller's
   // own op may be complete even when this returns false (the paper notes
   // exactly this asymmetry) — remaining selected ops still must be run.
-  // In SingleHolder mode a successful selection sets `holding_selection`;
-  // the caller releases the selection lock after the under-lock fallback.
+  // In SingleHolder mode a taken selection lock sets `selection.held`; the
+  // caller releases it after the under-lock fallback.
   //
   // tsa: the selection lock's lifetime here is conditional on runtime state
-  // (acquired iff policy.announce and not already Done; released before
-  // returning in Multi mode but retained across the return in SingleHolder,
-  // signalled through `holding_selection`). TSA requires every path of a
+  // (acquired iff policy.announce and not already Done, or by a
+  // never-announcing SingleHolder class; released before returning in
+  // Multi mode but retained across the return in SingleHolder, signalled
+  // through `selection.held`). TSA requires every path of a
   // function to agree on the held set, so this juggling function opts out;
   // the scan discipline it brokers stays compiler-checked inside
   // CombineCore (select_batch REQUIRES the selection lock) and
@@ -476,7 +488,7 @@ class PhaseMachine {
   bool try_combining(Op& op, PubArray& pa, const PhasePolicy& policy,
                      std::vector<Op*>& ops_to_help,
                      DelegationSession<DS>& session, std::size_t& session_ops,
-                     bool& holding_selection) {
+                     SelectionHold& selection) {
     if (policy.announce) {
       if (!Core::acquire_selection_or_done(
               op, pa, policy.wait,
@@ -488,7 +500,7 @@ class PhaseMachine {
         // Selected between our last check and the lock acquisition; the
         // selecting combiner is guaranteed to finish our op.
         pa.selection_lock().unlock();
-        pa.wake_epoch_waiters();  // liveness, see release_selection_if_held
+        pa.wake_epoch_waiters();  // liveness, see SelectionHold
         telemetry::sel_lock_released();
         await_done(op, pa, policy.wait);
         return true;
@@ -497,10 +509,10 @@ class PhaseMachine {
                                                         stats_);
       if constexpr (kMode == CombinerMode::Multi) {
         pa.selection_lock().unlock();
-        pa.wake_epoch_waiters();  // liveness, see release_selection_if_held
+        pa.wake_epoch_waiters();  // liveness, see SelectionHold
         telemetry::sel_lock_released();
       } else {
-        holding_selection = true;
+        selection.held = true;
       }
       // Batch shaping happens outside the scan (in Multi mode, after the
       // selection lock is released): group by the adapter's combine key
@@ -527,6 +539,14 @@ class PhaseMachine {
       }
     } else {
       // Never-announced (TLE-like) class: we "combine" only our own op.
+      // SingleHolder retries it holding the selection lock, which no
+      // speculator subscribes to: conflicting retries run one at a time
+      // (SCM's auxiliary lock) while other threads keep speculating.
+      if constexpr (kMode == CombinerMode::SingleHolder) {
+        pa.selection_lock().lock(policy.wait);
+        telemetry::sel_lock_acquired();
+        selection.held = true;
+      }
       ops_to_help.push_back(&op);
     }
     return Core::combine_on_htm(lock_, ds_, op, pa, ops_to_help,
@@ -560,13 +580,13 @@ class PhaseMachine {
       if (lock_.try_lock()) {
         telemetry::phase_exit(static_cast<int>(Phase::Visible), false);
         telemetry::phase_enter(static_cast<int>(Phase::UnderLock));
-        Core::combine_global(lock_, ds_, op, pa, stats_, scan_rounds_);
-        lock_.unlock();
-        // Liveness (§12): the global lock serves every class's array, and
-        // a waiter of *any* array may have parked just after our last
-        // publish on it, watching an epoch we will never bump again. The
-        // release is their signal that the lock is worth re-trying.
-        wake_all_epoch_waiters();
+        {
+          // Both run on every exit, an exception from an op body included:
+          // the guard releases the lock, then `wake` runs.
+          EpochWakeOnExit wake{*this};
+          sync::LockGuard<Lock> guard(lock_, std::adopt_lock);
+          Core::combine_global(lock_, ds_, op, pa, stats_, scan_rounds_);
+        }
         telemetry::phase_exit(static_cast<int>(Phase::UnderLock), true);
         // The combiner always executes its own announced operation.
         assert(op.status() == OpStatus::Done);
@@ -598,6 +618,15 @@ class PhaseMachine {
   void wake_all_epoch_waiters() noexcept {
     for (auto& a : arrays_) a->wake_epoch_waiters();
   }
+
+  // Liveness (§12): the global lock serves every class's array, and a
+  // waiter of *any* array may have parked just after a session's last
+  // publish on it, watching an epoch nobody will bump again. Each release
+  // of the global lock is their signal that it is worth re-trying.
+  struct EpochWakeOnExit {
+    PhaseMachine& machine;
+    ~EpochWakeOnExit() { machine.wake_all_epoch_waiters(); }
+  };
 
   // Terminal wait once a combiner selected our op: in Multi mode a
   // combiner may also *delegate* a group to us — claim it (exactly one

@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 
 #include "sim_htm/txcell.hpp"
 #include "util/backoff.hpp"
@@ -266,6 +267,9 @@ class SCOPED_CAPABILITY LockGuard {
       noexcept ACQUIRE(lock) : lock_(lock) {
     lock_.lock(policy);
   }
+  // Takes over a lock the caller already holds (won by try_lock).
+  LockGuard(L& lock, std::adopt_lock_t) noexcept REQUIRES(lock)
+      : lock_(lock) {}
   ~LockGuard() RELEASE() { lock_.unlock(); }
   LockGuard(const LockGuard&) = delete;
   LockGuard& operator=(const LockGuard&) = delete;

@@ -25,8 +25,8 @@ class EngineCapacityTest : public ::testing::Test {};
 
 using EngineTypes =
     ::testing::Types<Engines<Table>::Tle, Engines<Table>::Scm,
-                     Engines<Table>::CoreLock, Engines<Table>::TleFc,
-                     Engines<Table>::Hcf, Engines<Table>::Hcf1C>;
+                     Engines<Table>::TleFc, Engines<Table>::Hcf,
+                     Engines<Table>::Hcf1C>;
 TYPED_TEST_SUITE(EngineCapacityTest, EngineTypes);
 
 TYPED_TEST(EngineCapacityTest, TinyReadCapacityForcesFallbacks) {
@@ -101,21 +101,6 @@ TEST(EngineCapacity, CapacityAbortsAreCountedAsCapacity) {
   // TLE gives up after the first capacity abort rather than burning the
   // whole budget (retrying a deterministic abort is futile).
   EXPECT_LE(snap.starts, 2u);
-  mem::EbrDomain::instance().drain();
-}
-
-TEST(EngineCapacity, CoreLockEngineSerializesOnCapacity) {
-  htm::ScopedCapacity caps(6, 1024);  // every speculative attempt fails
-  Table table(64);
-  core::CoreLockEngine<Table> engine(table);
-  adapters::HtInsertOp<std::uint64_t, std::uint64_t> insert;
-  for (std::uint64_t k = 0; k < 64; ++k) {
-    insert.set(k, k);
-    engine.execute(insert);
-  }
-  EXPECT_EQ(table.size_slow(), 64u);
-  // The capacity path engaged the per-core auxiliary lock.
-  EXPECT_GT(engine.core_lock_acquisitions(), 0u);
   mem::EbrDomain::instance().drain();
 }
 

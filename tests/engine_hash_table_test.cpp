@@ -38,9 +38,9 @@ class EngineHashTableTest : public ::testing::Test {};
 
 using EngineTypes =
     ::testing::Types<Engines<Table>::Lock, Engines<Table>::Tle,
-                     Engines<Table>::Scm, Engines<Table>::CoreLock,
-                     Engines<Table>::Fc, Engines<Table>::TleFc,
-                     Engines<Table>::Hcf, Engines<Table>::Hcf1C>;
+                     Engines<Table>::Scm, Engines<Table>::Fc,
+                     Engines<Table>::TleFc, Engines<Table>::Hcf,
+                     Engines<Table>::Hcf1C>;
 TYPED_TEST_SUITE(EngineHashTableTest, EngineTypes);
 
 TYPED_TEST(EngineHashTableTest, OperationAccountingReconciles) {

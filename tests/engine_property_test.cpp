@@ -48,9 +48,6 @@ AnyEngine make_engine(const std::string& name, Table& table) {
   if (name == "Lock") return wrap(std::make_shared<core::LockEngine<Table>>(table));
   if (name == "TLE") return wrap(std::make_shared<core::TleEngine<Table>>(table));
   if (name == "SCM") return wrap(std::make_shared<core::ScmEngine<Table>>(table));
-  if (name == "CoreLock") {
-    return wrap(std::make_shared<core::CoreLockEngine<Table>>(table));
-  }
   if (name == "FC") return wrap(std::make_shared<core::FcEngine<Table>>(table));
   if (name == "TLE+FC") return wrap(std::make_shared<core::TleFcEngine<Table>>(table));
   if (name == "HCF") {
@@ -124,8 +121,8 @@ TEST_P(EngineSweepTest, AccountingReconciles) {
 
 std::vector<SweepParam> sweep_params() {
   std::vector<SweepParam> params;
-  for (const char* engine : {"Lock", "TLE", "SCM", "CoreLock", "FC",
-                             "TLE+FC", "HCF", "HCF-1C"}) {
+  for (const char* engine :
+       {"Lock", "TLE", "SCM", "FC", "TLE+FC", "HCF", "HCF-1C"}) {
     for (int threads : {1, 2, 4}) {
       for (int find_pct : {0, 40, 90}) {
         // Tiny range for contention, larger for parallelism.
