@@ -4,125 +4,104 @@
 // in-between case. The adaptive engine should track the better fixed
 // policy in each regime without per-workload hand-tuning.
 #include <cstdio>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
-#include "core/engine.hpp"
 #include "harness/issuers.hpp"
-#include "mem/ebr.hpp"
-#include "util/table.hpp"
 
 namespace {
 
 using namespace hcf;
 using Tree = ds::AvlTree<std::uint64_t>;
+using Adaptive = core::AdaptiveHcfEngine<Tree>;
 
-std::unique_ptr<Tree> make_tree(std::uint64_t range) {
-  auto tree = std::make_unique<Tree>();
-  for (std::uint64_t k = 0; k < range; k += 2) tree->insert(k);
-  return tree;
+struct Panel {
+  const char* tag;
+  const char* name;
+  harness::WorkloadSpec spec;
+  bool amplified;  // runs at the contention-amplified cs_work
+};
+const Panel kPanels[] = {
+    {"90f", "read-heavy uniform (low contention)",
+     harness::WorkloadSpec::reads(90, 64 * 1024), false},
+    {"0f", "update-heavy zipf (high contention)",
+     harness::WorkloadSpec::reads(0, 512, harness::KeyDist::Zipfian, 0.95),
+     true},
+    {"50f", "mixed zipf",
+     harness::WorkloadSpec::reads(50, 4096, harness::KeyDist::Zipfian, 0.9),
+     true},
+};
+
+struct Variant {
+  std::string name;
+  std::vector<core::ClassConfig> classes;
+  bool adaptive;  // AdaptiveHcfEngine instead of a fixed HcfEngine
+};
+const std::vector<Variant> kVariants{
+    {"HCF(2,3,5)", adapters::avl_paper_config(), false},
+    {"HCF-TLE-like", {{0, core::PhasePolicy{8, 1, 1, true}}}, false},
+    {"HCF-combine-first", {{0, core::PhasePolicy::combine_first()}}, false},
+    {"HCF-adaptive", adapters::avl_paper_config(), true},
+};
+
+harness::WorkloadSpec spec_of(const Panel& panel, std::uint32_t work) {
+  auto spec = panel.spec;
+  spec.cs_work = work;
+  return spec;
 }
 
-template <typename Engine>
-harness::RunResult run_one(Engine& engine, const harness::WorkloadSpec& spec,
-                           std::size_t threads,
-                           const harness::DriverOptions& options) {
-  return harness::run_timed(
-      engine, threads,
-      [&](std::size_t t) {
-        return harness::AvlWorker<Engine>(engine, spec, 19 + t * 3);
-      },
-      options);
-}
+// Indexed by Adaptive::Lean.
+const char* const kLeanNames[] = {"balanced", "speculative", "combining"};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = hcf::bench::BenchOptions::parse(argc, argv);
-  hcf::bench::BenchReport report(opts, "ablation_adaptive");
+  auto opts = bench::BenchOptions::parse(argc, argv);
+  bench::BenchReport report(opts, "ablation_adaptive");
   bench::print_header(
       "Ablation: adaptive policy",
       "AVL set; fixed policies vs the adaptive controller (Mops/s)");
 
-  struct Scenario {
-    const char* name;
-    harness::WorkloadSpec spec;
-  };
-  const std::uint32_t work =
-      opts.cs_work >= 0 ? static_cast<std::uint32_t>(opts.cs_work)
-                        : opts.amplified_work;
-  Scenario scenarios[] = {
-      {"read-heavy uniform (low contention)",
-       harness::WorkloadSpec::reads(90, 64 * 1024)},
-      {"update-heavy zipf (high contention)",
-       harness::WorkloadSpec::reads(0, 512, harness::KeyDist::Zipfian, 0.95)},
-      {"mixed zipf",
-       harness::WorkloadSpec::reads(50, 4096, harness::KeyDist::Zipfian,
-                                    0.9)},
-  };
-  scenarios[1].spec.cs_work = work;
-  scenarios[2].spec.cs_work = work;
-
-  for (const auto& scenario : scenarios) {
-    std::printf("\n%s (%s):\n", scenario.name, scenario.spec.label().c_str());
-    util::TextTable table({"threads", "HCF(2,3,5)", "HCF-TLE-like",
-                           "HCF-combine-first", "HCF-adaptive", "lean"});
-    for (std::size_t threads : opts.threads) {
-      std::vector<std::string> row{std::to_string(threads)};
-      const std::uint64_t range = scenario.spec.key_range;
-      {
-        auto tree = make_tree(range);
-        core::HcfEngine<Tree> e(*tree, adapters::avl_paper_config(), 1);
-        const auto result = run_one(e, scenario.spec, threads, opts.driver);
-        report.add(scenario.spec.label(), "HCF(2,3,5)", threads,
-                   scenario.spec.cs_work, result);
-        row.push_back(util::TextTable::num(result.throughput_mops()));
-        mem::EbrDomain::instance().drain();
-      }
-      {
-        auto tree = make_tree(range);
-        core::HcfEngine<Tree> e(
-            *tree, {core::ClassConfig{0, core::PhasePolicy{8, 1, 1, true}}},
-            1);
-        const auto result = run_one(e, scenario.spec, threads, opts.driver);
-        report.add(scenario.spec.label(), "HCF-TLE-like", threads,
-                   scenario.spec.cs_work, result);
-        row.push_back(util::TextTable::num(result.throughput_mops()));
-        mem::EbrDomain::instance().drain();
-      }
-      {
-        auto tree = make_tree(range);
-        core::HcfEngine<Tree> e(
-            *tree,
-            {core::ClassConfig{0, core::PhasePolicy::combine_first()}}, 1);
-        const auto result = run_one(e, scenario.spec, threads, opts.driver);
-        report.add(scenario.spec.label(), "HCF-combine-first", threads,
-                   scenario.spec.cs_work, result);
-        row.push_back(util::TextTable::num(result.throughput_mops()));
-        mem::EbrDomain::instance().drain();
-      }
-      {
-        auto tree = make_tree(range);
-        core::AdaptiveHcfEngine<Tree> e(*tree, adapters::avl_paper_config(),
-                                        1);
-        const auto result = run_one(e, scenario.spec, threads, opts.driver);
-        report.add(scenario.spec.label(), "HCF-adaptive", threads,
-                   scenario.spec.cs_work, result);
-        row.push_back(util::TextTable::num(result.throughput_mops()));
-        const char* lean = "balanced";
-        if (e.current_lean(0) ==
-            core::AdaptiveHcfEngine<Tree>::Lean::Speculative) {
-          lean = "speculative";
-        } else if (e.current_lean(0) ==
-                   core::AdaptiveHcfEngine<Tree>::Lean::Combining) {
-          lean = "combining";
+  const std::uint32_t amplified = opts.one_work(opts.amplified_work)[0];
+  bench::Layout layout;
+  layout.views.push_back({"",
+                          {{"HCF(2,3,5)", 0, bench::mops},
+                           {"HCF-TLE-like", 1, bench::mops},
+                           {"HCF-combine-first", 2, bench::mops},
+                           {"HCF-adaptive", 3, bench::mops},
+                           {"lean", 3, bench::note}}});
+  bench::sweep(
+      opts, report, kPanels, kVariants,
+      [&](const Panel& panel) {
+        return std::vector<std::uint32_t>{panel.amplified ? amplified : 0};
+      },
+      [](const Panel& panel, std::uint32_t work) {
+        const auto spec = spec_of(panel, work);
+        std::printf("\n%s (%s):\n", panel.name, spec.label().c_str());
+        return spec.label();
+      },
+      [&](const Panel& panel, std::uint32_t work, const Variant& variant,
+          std::size_t threads) {
+        const auto spec = spec_of(panel, work);
+        auto tree = bench::make_set<Tree>(spec.key_range);
+        auto run = [&](auto& e) {
+          return harness::run_timed(
+              e, threads,
+              [&](std::size_t t) {
+                return harness::AvlWorker(e, spec, 19 + t * 3);
+              },
+              opts.driver);
+        };
+        if (!variant.adaptive) {
+          core::HcfEngine<Tree> e(*tree, variant.classes, 1);
+          return bench::Cell{run(e)};
         }
-        row.push_back(lean);
-        mem::EbrDomain::instance().drain();
-      }
-      table.add_row(std::move(row));
-    }
-    table.print(std::cout);
-  }
+        Adaptive e(*tree, variant.classes, 1);
+        const harness::RunResult result = run(e);
+        return bench::Cell{
+            result, kLeanNames[static_cast<int>(e.current_lean(0))]};
+      },
+      layout);
   return report.finish();
 }

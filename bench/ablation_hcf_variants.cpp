@@ -12,13 +12,11 @@
 // Workload: the Fig. 5(a) setting (AVL, 0% Find, Zipf 0.9) where combining
 // matters most.
 #include <cstdio>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
-#include "core/engine.hpp"
 #include "harness/issuers.hpp"
-#include "mem/ebr.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -38,96 +36,71 @@ class HelpAllOp final : public Base {
   }
 };
 
-std::unique_ptr<Tree> make_prefilled_tree() {
-  auto tree = std::make_unique<Tree>();
-  for (std::uint64_t k = 0; k < kKeyRange; k += 2) tree->insert(k);
-  return tree;
+// Runs `Engine` over the prefilled tree with AvlWorkers issuing `Ops`
+// (default: the paper's AVL ops), seeded seed + t.
+template <typename Engine, typename... Ops>
+harness::RunResult run_avl(const harness::WorkloadSpec& spec,
+                           std::size_t threads,
+                           const harness::DriverOptions& options,
+                           std::uint64_t seed) {
+  auto tree = bench::make_set<Tree>(kKeyRange);
+  Engine e(*tree, adapters::avl_paper_config(), 1);
+  return harness::run_timed(
+      e, threads,
+      [&](std::size_t t) {
+        return harness::AvlWorker<Engine, Ops...>(e, spec, seed + t);
+      },
+      options);
+}
+
+using Hcf = core::HcfEngine<Tree>;
+using NoCombine = adapters::AvlNoCombine<K>;
+
+const bench::Workload kPanels[] = {{"0f"}};
+
+struct Variant {
+  std::string name;
+  harness::RunResult (*run)(const harness::WorkloadSpec&, std::size_t,
+                            const harness::DriverOptions&, std::uint64_t);
+  std::uint64_t seed;
+};
+const std::vector<Variant> kVariants{
+    {"HCF", run_avl<Hcf>, 11},
+    {"HCF-nocomb",
+     run_avl<Hcf, NoCombine::Contains, NoCombine::Insert, NoCombine::Remove>,
+     23},
+    {"HCF-help-all",
+     run_avl<Hcf, HelpAllOp<adapters::AvlContainsOp<K>>,
+             HelpAllOp<adapters::AvlInsertOp<K>>,
+             HelpAllOp<adapters::AvlRemoveOp<K>>>,
+     37},
+    {"HCF-1C", run_avl<core::HcfSingleCombinerEngine<Tree>>, 41},
+};
+
+harness::WorkloadSpec spec_of(std::uint32_t work) {
+  auto spec = harness::WorkloadSpec::reads(0, kKeyRange,
+                                           harness::KeyDist::Zipfian, 0.9);
+  spec.cs_work = work;
+  return spec;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = hcf::bench::BenchOptions::parse(argc, argv);
-  hcf::bench::BenchReport report(opts, "ablation_hcf_variants");
+  auto opts = bench::BenchOptions::parse(argc, argv);
+  bench::BenchReport report(opts, "ablation_hcf_variants");
   bench::print_header("Ablation: HCF variants",
                       "AVL set, 0% Find, Zipf 0.9 (Mops/s)");
 
-  auto spec = harness::WorkloadSpec::reads(0, kKeyRange,
-                                           harness::KeyDist::Zipfian, 0.9);
-  spec.cs_work = opts.cs_work >= 0 ? static_cast<std::uint32_t>(opts.cs_work)
-                                   : opts.amplified_work;
-  std::printf("(cs_work=%u; variant effects need contention)\n",
-              spec.cs_work);
-  util::TextTable table({"threads", "HCF", "HCF-nocomb", "HCF-help-all",
-                         "HCF-1C"});
-  for (std::size_t threads : opts.threads) {
-    std::vector<std::string> row{std::to_string(threads)};
-
-    {  // paper configuration
-      auto tree = make_prefilled_tree();
-      core::HcfEngine<Tree> e(*tree, adapters::avl_paper_config(), 1);
-      const auto r = harness::run_timed(
-          e, threads,
-          [&](std::size_t t) {
-            return harness::AvlWorker<core::HcfEngine<Tree>>(e, spec,
-                                                             11 + t);
-          },
-          opts.driver);
-      report.add(spec.label(), "HCF", threads, spec.cs_work, r);
-      row.push_back(util::TextTable::num(r.throughput_mops()));
-      mem::EbrDomain::instance().drain();
-    }
-    {  // no combining/elimination
-      auto tree = make_prefilled_tree();
-      core::HcfEngine<Tree> e(*tree, adapters::avl_paper_config(), 1);
-      using NC = adapters::AvlNoCombine<K>;
-      const auto r = harness::run_timed(
-          e, threads,
-          [&](std::size_t t) {
-            return harness::AvlWorker<core::HcfEngine<Tree>,
-                                      typename NC::Contains,
-                                      typename NC::Insert,
-                                      typename NC::Remove>(e, spec, 23 + t);
-          },
-          opts.driver);
-      report.add(spec.label(), "HCF-nocomb", threads, spec.cs_work, r);
-      row.push_back(util::TextTable::num(r.throughput_mops()));
-      mem::EbrDomain::instance().drain();
-    }
-    {  // help-all (no subtree filtering)
-      auto tree = make_prefilled_tree();
-      core::HcfEngine<Tree> e(*tree, adapters::avl_paper_config(), 1);
-      const auto r = harness::run_timed(
-          e, threads,
-          [&](std::size_t t) {
-            return harness::AvlWorker<core::HcfEngine<Tree>,
-                                      HelpAllOp<adapters::AvlContainsOp<K>>,
-                                      HelpAllOp<adapters::AvlInsertOp<K>>,
-                                      HelpAllOp<adapters::AvlRemoveOp<K>>>(
-                e, spec, 37 + t);
-          },
-          opts.driver);
-      report.add(spec.label(), "HCF-help-all", threads, spec.cs_work, r);
-      row.push_back(util::TextTable::num(r.throughput_mops()));
-      mem::EbrDomain::instance().drain();
-    }
-    {  // single-combiner specialization
-      auto tree = make_prefilled_tree();
-      core::HcfSingleCombinerEngine<Tree> e(*tree,
-                                            adapters::avl_paper_config(), 1);
-      const auto r = harness::run_timed(
-          e, threads,
-          [&](std::size_t t) {
-            return harness::AvlWorker<core::HcfSingleCombinerEngine<Tree>>(
-                e, spec, 41 + t);
-          },
-          opts.driver);
-      report.add(spec.label(), "HCF-1C", threads, spec.cs_work, r);
-      row.push_back(util::TextTable::num(r.throughput_mops()));
-      mem::EbrDomain::instance().drain();
-    }
-    table.add_row(std::move(row));
-  }
-  table.print(std::cout);
+  bench::sweep(
+      opts, report, kPanels, kVariants, opts.one_work(opts.amplified_work),
+      [](const auto&, std::uint32_t work) {
+        std::printf("(cs_work=%u; variant effects need contention)\n", work);
+        return spec_of(work).label();
+      },
+      [&](const auto&, std::uint32_t work, const Variant& variant,
+          std::size_t threads) {
+        return variant.run(spec_of(work), threads, opts.driver, variant.seed);
+      });
   return report.finish();
 }

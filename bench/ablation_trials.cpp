@@ -5,87 +5,57 @@
 // hash-table workload, to show how the split trades speculation against
 // combining.
 #include <cstdio>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
-#include "core/engine.hpp"
-#include "harness/issuers.hpp"
-#include "mem/ebr.hpp"
-#include "util/table.hpp"
 
 namespace {
 
 using namespace hcf;
-using Table = ds::HashTable<std::uint64_t, std::uint64_t>;
-using Engine = core::HcfEngine<Table>;
 
-constexpr std::uint64_t kKeyRange = 16 * 1024;
+const bench::HtPanel kPanels[] = {{"ablation", "40f", 40}};
 
-harness::RunResult run_with_policy(const core::PhasePolicy& insert_policy,
-                                   const harness::WorkloadSpec& spec,
-                                   std::size_t threads,
-                                   const harness::DriverOptions& options) {
-  auto table = std::make_unique<Table>(spec.key_range);
-  for (std::uint64_t k = 0; k < spec.prefill; ++k) {
-    table->insert(k * 2 % spec.key_range, (k * 2 % spec.key_range) * 2 + 1);
-  }
-  std::vector<core::ClassConfig> classes = {
-      {0, core::PhasePolicy::tle_like()},  // Find/Remove as in the paper
-      {1, insert_policy},
-  };
-  Engine engine(*table, classes, 2);
-  const auto result = harness::run_timed(
-      engine, threads,
-      [&](std::size_t t) {
-        return harness::HtWorker<Engine>(engine, spec, 67 + t * 29);
-      },
-      options);
-  mem::EbrDomain::instance().drain();
-  return result;
-}
+// A variant is the Insert class's policy; Find/Remove stay TLE-like as in
+// the paper.
+struct Variant {
+  std::string name;
+  core::PhasePolicy policy;
+};
+const std::vector<Variant> kVariants{
+    {"(2,3,5) paper", core::PhasePolicy{2, 3, 5, true}},
+    {"(10,0,0)+announce", core::PhasePolicy{10, 0, 0, true}},
+    {"(0,0,10)", core::PhasePolicy{0, 0, 10, true}},
+    {"(5,5,0)", core::PhasePolicy{5, 5, 0, true}},
+    {"(3,3,4)", core::PhasePolicy{3, 3, 4, true}},
+    {"TLE-like", core::PhasePolicy::tle_like()},
+    {"FC-like", core::PhasePolicy::fc_like()},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = hcf::bench::BenchOptions::parse(argc, argv);
-  hcf::bench::BenchReport report(opts, "ablation_trials");
+  auto opts = bench::BenchOptions::parse(argc, argv);
+  bench::BenchReport report(opts, "ablation_trials");
   bench::print_header(
       "Ablation: phase trial budgets",
       "HT 40% Find; Insert-class (private,visible,combining) splits");
 
-  auto spec = harness::WorkloadSpec::reads(40, kKeyRange);
-  spec.cs_work = opts.cs_work >= 0 ? static_cast<std::uint32_t>(opts.cs_work)
-                                   : opts.amplified_work;
-  std::printf("(cs_work=%u; trial-budget effects need contention)\n",
-              spec.cs_work);
-
-  struct Variant {
-    const char* name;
-    core::PhasePolicy policy;
-  };
-  const Variant variants[] = {
-      {"(2,3,5) paper", core::PhasePolicy{2, 3, 5, true}},
-      {"(10,0,0)+announce", core::PhasePolicy{10, 0, 0, true}},
-      {"(0,0,10)", core::PhasePolicy{0, 0, 10, true}},
-      {"(5,5,0)", core::PhasePolicy{5, 5, 0, true}},
-      {"(3,3,4)", core::PhasePolicy{3, 3, 4, true}},
-      {"TLE-like", core::PhasePolicy::tle_like()},
-      {"FC-like", core::PhasePolicy::fc_like()},
-  };
-
-  std::vector<std::string> header{"threads"};
-  for (const auto& v : variants) header.push_back(v.name);
-  util::TextTable table(header);
-  for (std::size_t threads : opts.threads) {
-    std::vector<std::string> row{std::to_string(threads)};
-    for (const auto& v : variants) {
-      const auto result = run_with_policy(v.policy, spec, threads,
-                                          opts.driver);
-      report.add(spec.label(), v.name, threads, spec.cs_work, result);
-      row.push_back(util::TextTable::num(result.throughput_mops()));
-    }
-    table.add_row(std::move(row));
-  }
-  table.print(std::cout);
+  bench::sweep(
+      opts, report, kPanels, kVariants, opts.one_work(opts.amplified_work),
+      [](const bench::HtPanel& panel, std::uint32_t work) {
+        std::printf("(cs_work=%u; trial-budget effects need contention)\n",
+                    work);
+        return panel.spec(work).label();
+      },
+      [&](const bench::HtPanel& panel, std::uint32_t work,
+          const Variant& variant, std::size_t threads) {
+        const auto spec = panel.spec(work);
+        auto table = bench::make_hash_table(spec);
+        core::HcfEngine<bench::HashTable> engine(
+            *table,
+            {{0, core::PhasePolicy::tle_like()}, {1, variant.policy}}, 2);
+        return bench::run_ht(engine, spec, threads, opts.driver, 67, 29);
+      });
   return report.finish();
 }

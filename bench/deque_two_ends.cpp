@@ -40,11 +40,9 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> engines = bench::kPaperRoster;
   engines.push_back("HCF-1C");
-  const bench::HcfClasses paper_hcf{adapters::deque_paper_config(),
-                                    adapters::kDequeNumArrays};
   // The deque workload has no critical-section work knob: cs_work 0 only.
-  bench::roster_sweep(
-      opts, report, kPanels, engines, {0},
+  bench::sweep(
+      opts, report, kPanels, engines, std::vector<std::uint32_t>{0},
       [](const Panel& panel, std::uint32_t) {
         std::printf("\n%s mode (60%% push / 40%% pop):\n",
                     panel.split ? "split (threads pinned per end)" : "mixed");
@@ -53,15 +51,13 @@ int main(int argc, char** argv) {
       [&](const Panel& panel, std::uint32_t, const std::string& engine,
           std::size_t threads) {
         auto dq = make_prefilled();
-        return bench::run_engine(engine, *dq, paper_hcf, [&](auto& e) {
-          return harness::run_timed(
-              e, threads,
-              [&](std::size_t t) {
-                const int pin_side = panel.split ? static_cast<int>(t % 2) : -1;
-                return harness::DequeWorker(e, kPushPct, 7 + t * 3, pin_side);
-              },
-              opts.driver);
-        });
+        return bench::run_engine(
+            engine, *dq, adapters::deque_paper_config(),
+            adapters::kDequeNumArrays, threads, opts.driver,
+            [&](auto& e, std::size_t t) {
+              const int pin_side = panel.split ? static_cast<int>(t % 2) : -1;
+              return harness::DequeWorker(e, kPushPct, 7 + t * 3, pin_side);
+            });
       });
   return report.finish();
 }

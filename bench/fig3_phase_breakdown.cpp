@@ -3,91 +3,85 @@
 // operations, Insert operations alone, and Find+Remove operations alone.
 // One measurement per (work, threads) configuration feeds all three views.
 #include <cstdio>
-#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/engine.hpp"
-#include "harness/issuers.hpp"
-#include "mem/ebr.hpp"
-#include "util/table.hpp"
 
 namespace {
 
 using namespace hcf;
-using Table = ds::HashTable<std::uint64_t, std::uint64_t>;
-using Engine = core::HcfEngine<Table>;
 
-constexpr std::uint64_t kKeyRange = 16 * 1024;
+const bench::HtPanel kPanels[] = {{"3", "40f", 40}};
+const std::vector<std::string> kEngines{"HCF"};
 
-std::string pct(std::uint64_t part, std::uint64_t whole) {
-  return whole == 0 ? "0.00"
-                    : util::TextTable::num(100.0 * static_cast<double>(part) /
-                                           static_cast<double>(whole));
+// Completions of class `cls` (-1: every class) in `phase` (-1: all).
+std::uint64_t completions(const core::EngineStatsSnapshot& s, int cls,
+                          int phase = -1) {
+  if (phase < 0) return cls < 0 ? s.total() : s.class_total(cls);
+  return cls < 0 ? s.phase_total(static_cast<core::Phase>(phase))
+                 : s.completions[static_cast<std::size_t>(cls)]
+                                [static_cast<std::size_t>(phase)];
+}
+
+// Phase `phase`'s share of class `cls`'s completions, in percent.
+std::string share(const core::EngineStatsSnapshot& s, int cls, int phase) {
+  const std::uint64_t total = completions(s, cls);
+  return total == 0
+             ? "0.00"
+             : util::TextTable::num(
+                   100.0 * static_cast<double>(completions(s, cls, phase)) /
+                   static_cast<double>(total));
+}
+
+// One table per view: each phase's share of the view's completions.
+bench::Layout phase_tables() {
+  // (title, class); class -1 aggregates over all classes.
+  const std::pair<const char*, int> views[] = {
+      {"all ops", -1},
+      {"Insert only", adapters::kHtInsertClass},
+      {"Find+Remove only", adapters::kHtReadWriteClass}};
+  const char* const phases[] = {"TryPrivate%", "TryVisible%", "TryCombining%",
+                                "CombineUnderLock%"};
+  bench::Layout layout;
+  for (const auto& [title, view_cls] : views) {
+    const int cls = view_cls;
+    auto& columns = layout.views.emplace_back(bench::View{title}).columns;
+    for (int p = 0; p < core::kNumPhases; ++p) {
+      columns.push_back({phases[p], 0, [cls, p](const bench::Cell& c) {
+                           return share(c.result.engine, cls, p);
+                         }});
+    }
+    columns.push_back({"ops", 0, [cls](const bench::Cell& c) {
+                         const auto& stats = c.result.engine;
+                         return std::to_string(completions(stats, cls));
+                       }});
+  }
+  return layout;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = hcf::bench::BenchOptions::parse(argc, argv);
-  hcf::bench::BenchReport report(opts, "fig3_phase_breakdown");
+  auto opts = bench::BenchOptions::parse(argc, argv);
+  bench::BenchReport report(opts, "fig3_phase_breakdown");
   bench::print_header("Figure 3",
                       "HCF phase completion breakdown, hash table, 40% Find");
 
-  for (const std::uint32_t work : opts.work_settings()) {
-    auto spec = harness::WorkloadSpec::reads(40, kKeyRange);
-    spec.cs_work = work;
-    std::printf("\n=== %s (workload %s) ===\n",
-                work == 0 ? "paper parameters" : "contention-amplified",
-                spec.label().c_str());
-
-    std::vector<harness::RunResult> results;
-    for (std::size_t threads : opts.threads) {
-      auto ds = std::make_unique<Table>(spec.key_range);
-      for (std::uint64_t k = 0; k < spec.prefill; ++k) {
-        ds->insert(k * 2 % spec.key_range, (k * 2 % spec.key_range) * 2 + 1);
-      }
-      Engine engine(*ds, adapters::ht_paper_config(), adapters::kHtNumArrays);
-      results.push_back(harness::run_timed(
-          engine, threads,
-          [&](std::size_t t) {
-            return harness::HtWorker<Engine>(engine, spec, 31 + t * 101);
-          },
-          opts.driver));
-      report.add(spec.label(), "HCF", threads, work, results.back());
-      mem::EbrDomain::instance().drain();
-    }
-
-    struct View {
-      const char* name;
-      int cls;  // -1: aggregate over all classes
-    };
-    const View views[] = {{"all ops", -1},
-                          {"Insert only", adapters::kHtInsertClass},
-                          {"Find+Remove only", adapters::kHtReadWriteClass}};
-    for (const auto& view : views) {
-      std::printf("\n%s:\n", view.name);
-      util::TextTable table({"threads", "TryPrivate%", "TryVisible%",
-                             "TryCombining%", "CombineUnderLock%", "ops"});
-      for (std::size_t i = 0; i < opts.threads.size(); ++i) {
-        const auto& result = results[i];
-        std::uint64_t per_phase[core::kNumPhases] = {};
-        std::uint64_t total = 0;
-        for (int p = 0; p < core::kNumPhases; ++p) {
-          per_phase[p] =
-              view.cls < 0
-                  ? result.engine.phase_total(static_cast<core::Phase>(p))
-                  : result.engine.completions[static_cast<std::size_t>(
-                        view.cls)][static_cast<std::size_t>(p)];
-          total += per_phase[p];
-        }
-        table.add_row({std::to_string(opts.threads[i]),
-                       pct(per_phase[0], total), pct(per_phase[1], total),
-                       pct(per_phase[2], total), pct(per_phase[3], total),
-                       std::to_string(total)});
-      }
-      table.print(std::cout);
-    }
-  }
+  bench::sweep(
+      opts, report, kPanels, kEngines, opts.work_settings(),
+      [](const bench::HtPanel& panel, std::uint32_t work) {
+        const auto label = panel.spec(work).label();
+        std::printf("\n=== %s (workload %s) ===\n", bench::work_name(work),
+                    label.c_str());
+        return label;
+      },
+      [&](const bench::HtPanel& panel, std::uint32_t work,
+          const std::string& engine, std::size_t threads) {
+        return bench::run_ht_engine(engine, panel.spec(work), threads,
+                                    opts.driver, 31, 101);
+      },
+      phase_tables());
   return report.finish();
 }

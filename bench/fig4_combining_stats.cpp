@@ -8,72 +8,57 @@
 //   * instrumented shared accesses/op  (cache-traffic proxy)
 //   * HTM aborts per op                (explains where time is lost)
 #include <cstdio>
-#include <memory>
 
 #include "bench_util.hpp"
-#include "harness/issuers.hpp"
-#include "util/table.hpp"
 
 namespace {
 
 using namespace hcf;
-using Table = ds::HashTable<std::uint64_t, std::uint64_t>;
 
-constexpr std::uint64_t kKeyRange = 16 * 1024;
+// One workload: the 40%-Find hash table, as in the paper.
+const bench::HtPanel kPanels[] = {{"4", "40f", 40}};
+
+// One table per engine, one row per thread count.
+bench::Layout per_engine_tables() {
+  using R = harness::RunResult;
+  bench::Layout layout;
+  for (std::size_t v = 0; v < bench::kPaperRoster.size(); ++v) {
+    layout.views.push_back(
+        {bench::kPaperRoster[v],
+         {{"mops", v, bench::mops},
+          {"locks/kop", v, bench::num_of(&R::lock_rate_per_kop)},
+          {"combine-degree", v, bench::num_of([](const R& r) {
+             return r.engine.combining_degree();
+           })},
+          {"aborts/op", v, bench::num_of(&R::aborts_per_op)},
+          {"shared-acc/op", v, bench::num_of(&R::shared_accesses_per_op)},
+          {"p50us", v, bench::usec_of(&R::latency_p50_ns)},
+          {"p99us", v, bench::usec_of(&R::latency_p99_ns)}}});
+  }
+  return layout;
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
   auto opts = bench::BenchOptions::parse(argc, argv);
+  opts.driver.measure_latency = true;
   bench::BenchReport report(opts, "fig4_combining_stats");
   bench::print_header(
       "Figure 4",
       "lock acquisitions, combining degree, cache-traffic proxy (HT, 40% Find)");
 
-  // One workload: the 40%-Find hash table, as in the paper.
-  opts.require_workload({"40f"});
-  harness::DriverOptions with_latency = opts.driver;
-  with_latency.measure_latency = true;
-  const bench::HcfClasses paper_hcf{adapters::ht_paper_config(),
-                                    adapters::kHtNumArrays};
-  for (const std::uint32_t work : opts.work_settings()) {
-    auto spec = harness::WorkloadSpec::reads(40, kKeyRange);
-    spec.cs_work = work;
-    std::printf("\n=== %s ===\n", work == 0 ? "paper parameters"
-                                              : "contention-amplified");
-    for (const std::string& name : bench::kPaperRoster) {
-      std::printf("\n%s:\n", name.c_str());
-      util::TextTable table({"threads", "mops", "locks/kop", "combine-degree",
-                             "aborts/op", "shared-acc/op", "p50us", "p99us"});
-      for (std::size_t threads : opts.threads) {
-        auto ds = std::make_unique<Table>(spec.key_range);
-        for (std::uint64_t k = 0; k < spec.prefill; ++k) {
-          ds->insert(k * 2 % spec.key_range, (k * 2 % spec.key_range) * 2 + 1);
-        }
-        const auto result =
-            bench::run_engine(name, *ds, paper_hcf, [&](auto& e) {
-              return harness::run_timed(
-                  e, threads,
-                  [&](std::size_t t) {
-                    return harness::HtWorker(e, spec, 53 + t * 13);
-                  },
-                  with_latency);
-            });
-        report.add(spec.label(), name, threads, work, result);
-        table.add_row(
-            {std::to_string(threads),
-             util::TextTable::num(result.throughput_mops()),
-             util::TextTable::num(result.lock_rate_per_kop()),
-             util::TextTable::num(result.engine.combining_degree()),
-             util::TextTable::num(result.aborts_per_op()),
-             util::TextTable::num(result.shared_accesses_per_op()),
-             util::TextTable::num(
-                 static_cast<double>(result.latency_p50_ns) / 1000.0),
-             util::TextTable::num(
-                 static_cast<double>(result.latency_p99_ns) / 1000.0)});
-      }
-      table.print(std::cout);
-    }
-  }
+  bench::sweep(
+      opts, report, kPanels, bench::kPaperRoster, opts.work_settings(),
+      [](const bench::HtPanel& panel, std::uint32_t work) {
+        std::printf("\n=== %s ===\n", bench::work_name(work));
+        return panel.spec(work).label();
+      },
+      [&](const bench::HtPanel& panel, std::uint32_t work,
+          const std::string& engine, std::size_t threads) {
+        return bench::run_ht_engine(engine, panel.spec(work), threads,
+                                    opts.driver, 53, 13);
+      },
+      per_engine_tables());
   return report.finish();
 }

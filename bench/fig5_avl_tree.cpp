@@ -4,7 +4,6 @@
 // HCF (FC/TLE+FC/HCF share the same sorted combine+eliminate run_multi,
 // as in §3.4).
 #include <cstdio>
-#include <memory>
 
 #include "bench_util.hpp"
 #include "harness/issuers.hpp"
@@ -16,12 +15,6 @@ using Tree = ds::AvlTree<std::uint64_t>;
 
 constexpr std::uint64_t kKeyRange = 1024;
 constexpr double kTheta = 0.9;
-
-std::unique_ptr<Tree> make_prefilled_tree() {
-  auto tree = std::make_unique<Tree>();
-  for (std::uint64_t k = 0; k < kKeyRange; k += 2) tree->insert(k);
-  return tree;
-}
 
 struct Panel {
   const char* id;
@@ -47,27 +40,23 @@ int main(int argc, char** argv) {
       "Figure 5",
       "AVL set throughput (Mops/s), keys [0..1023], Zipf theta=0.9");
 
-  const bench::HcfClasses paper_hcf{adapters::avl_paper_config(), 1};
-  bench::roster_sweep(
+  bench::sweep(
       opts, report, kPanels, bench::kPaperRoster, opts.work_settings(),
       [](const Panel& panel, std::uint32_t work) {
         const auto spec = spec_of(panel, work);
-        std::printf("\nFig %s: workload %s%s\n", panel.id,
-                    spec.label().c_str(), bench::work_tag(work));
+        std::printf("\nFig %s: workload %s [%s]\n", panel.id,
+                    spec.label().c_str(), bench::work_name(work));
         return spec.label();
       },
       [&](const Panel& panel, std::uint32_t work, const std::string& engine,
           std::size_t threads) {
         const auto spec = spec_of(panel, work);
-        auto tree = make_prefilled_tree();
-        return bench::run_engine(engine, *tree, paper_hcf, [&](auto& e) {
-          return harness::run_timed(
-              e, threads,
-              [&](std::size_t t) {
-                return harness::AvlWorker(e, spec, 71 + t * 31);
-              },
-              opts.driver);
-        });
+        auto tree = bench::make_set<Tree>(kKeyRange);
+        return bench::run_engine(
+            engine, *tree, adapters::avl_paper_config(), 1, threads,
+            opts.driver, [&](auto& e, std::size_t t) {
+              return harness::AvlWorker(e, spec, 71 + t * 31);
+            });
       });
   return report.finish();
 }

@@ -23,154 +23,87 @@
 //                             engine aborts and serializes while shards
 //                             split the conflict domain N ways
 //                             (EXPERIMENTS.md, "preemption amplification").
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
-#include "core/engine.hpp"
-#include "harness/issuers.hpp"
-#include "mem/ebr.hpp"
 #include "util/rng.hpp"
-#include "util/table.hpp"
 
 namespace {
 
 using namespace hcf;
-using Table = ds::HashTable<std::uint64_t, std::uint64_t>;
-using Sharded = core::ShardedEngine<core::HcfEngine<Table>>;
+using Sharded = core::ShardedEngine<core::HcfEngine<bench::HashTable>>;
 
-constexpr std::uint64_t kKeyRange = 16 * 1024;
-constexpr std::size_t kShardCounts[] = {1, 2, 4, 8};
+const bench::HtPanel kPanels[] = {{"6", "40f", 40, false},
+                                  {"6", "40f", 40, true}};
 
-struct ShardedTables {
-  std::vector<std::unique_ptr<Table>> tables;
-  std::vector<Table*> ptrs;
+struct Variant {
+  std::string name;
+  std::size_t shards;  // 0: the flat HCF engine
 };
+const std::vector<Variant> kVariants{{"HCF", 0},    {"HCF-s1", 1},
+                                     {"HCF-s2", 2}, {"HCF-s4", 4},
+                                     {"HCF-s8", 8}};
+constexpr std::size_t kS1 = 1, kS8 = 4;  // kVariants indices
 
-// Same deterministic prefill as fig2 (every other key up to half the
-// range), with each key routed to the shard the engine will route it to.
-ShardedTables make_prefilled_shards(const harness::WorkloadSpec& spec,
-                                    std::size_t shards) {
-  ShardedTables out;
-  const std::uint64_t buckets =
-      std::max<std::uint64_t>(spec.key_range / shards, 64);
-  for (std::size_t s = 0; s < shards; ++s) {
-    out.tables.push_back(std::make_unique<Table>(buckets));
-    out.ptrs.push_back(out.tables.back().get());
-  }
-  for (std::uint64_t k = 0; k < spec.prefill; ++k) {
-    const std::uint64_t key = k * 2 % spec.key_range;
-    const std::size_t s = Sharded::route(util::mix64(key), shards);
-    out.tables[s]->insert(key, key * 2 + 1);
-  }
-  return out;
-}
-
-template <typename Engine>
-harness::RunResult run_one(Engine& engine, const harness::WorkloadSpec& spec,
-                           std::size_t threads,
-                           const harness::DriverOptions& options) {
-  return harness::run_timed(
-      engine, threads,
-      [&](std::size_t t) {
-        return harness::HtWorker<Engine>(engine, spec, 17 + t * 7919);
-      },
-      options);
-}
-
-harness::RunResult run_flat(const harness::WorkloadSpec& spec,
-                            std::size_t threads,
+harness::RunResult run_cell(const harness::WorkloadSpec& spec,
+                            const Variant& variant, std::size_t threads,
                             const harness::DriverOptions& options) {
-  auto table = std::make_unique<Table>(spec.key_range);
-  for (std::uint64_t k = 0; k < spec.prefill; ++k) {
-    table->insert(k * 2 % spec.key_range, (k * 2 % spec.key_range) * 2 + 1);
+  if (variant.shards == 0) {
+    return bench::run_ht_engine("HCF", spec, threads, options, 17, 7919);
   }
-  core::HcfEngine<Table> e(*table, adapters::ht_paper_config(),
-                           adapters::kHtNumArrays);
-  const auto result = run_one(e, spec, threads, options);
-  mem::EbrDomain::instance().drain();
-  return result;
-}
-
-harness::RunResult run_sharded(std::size_t shards,
-                               const harness::WorkloadSpec& spec,
-                               std::size_t threads,
-                               const harness::DriverOptions& options) {
-  auto setup = make_prefilled_shards(spec, shards);
-  Sharded engine(std::span<Table* const>(setup.ptrs),
+  // The fig2 prefill, each key routed to the shard the engine will route
+  // it to; the shards split the flat table's bucket count.
+  std::vector<std::unique_ptr<bench::HashTable>> tables;
+  std::vector<bench::HashTable*> ptrs;
+  for (std::size_t s = 0; s < variant.shards; ++s) {
+    tables.push_back(std::make_unique<bench::HashTable>(
+        std::max<std::uint64_t>(spec.key_range / variant.shards, 64)));
+    ptrs.push_back(tables.back().get());
+  }
+  bench::prefill_hash_table(spec, [&](std::uint64_t key, std::uint64_t value) {
+    ptrs[Sharded::route(util::mix64(key), variant.shards)]->insert(key, value);
+  });
+  Sharded engine(std::span<bench::HashTable* const>(ptrs),
                  adapters::ht_paper_config(), adapters::kHtNumArrays);
-  const auto result = run_one(engine, spec, threads, options);
-  mem::EbrDomain::instance().drain();
-  return result;
+  return bench::run_ht(engine, spec, threads, options, 17, 7919);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = hcf::bench::BenchOptions::parse(argc, argv);
-  hcf::bench::BenchReport report(opts, "fig6_sharded");
-  hcf::bench::print_header(
+  auto opts = bench::BenchOptions::parse(argc, argv);
+  bench::BenchReport report(opts, "fig6_sharded");
+  bench::print_header(
       "Figure 6", "sharded HCF throughput (Mops/s), 40% find, 16K keys");
 
-  const auto base_spec = hcf::harness::WorkloadSpec::reads(40, kKeyRange);
-  if (!opts.workload_filter.empty() &&
-      opts.workload_filter != base_spec.label() &&
-      opts.workload_filter != "40f") {
-    return report.finish();
-  }
-
-  struct Panel {
-    hcf::harness::WorkloadSpec spec;
-    const char* tag;
-  };
-  std::vector<Panel> panels;
-  for (const std::uint32_t work : opts.work_settings()) {
-    auto spec = base_spec;
-    spec.cs_work = work;
-    panels.push_back(
-        {spec, work == 0 ? " [paper parameters]" : " [contention-amplified]"});
-  }
-  {
-    auto spec = base_spec;
-    spec.cs_preempt = true;
-    panels.push_back({spec, " [preemption-amplified]"});
-  }
-
-  for (const Panel& panel : panels) {
-    const auto& spec = panel.spec;
-    const std::uint32_t work = spec.cs_work;
-    std::printf("\nFig 6: workload %s (key range %llu, prefill %llu)%s\n",
-                spec.label().c_str(),
-                static_cast<unsigned long long>(spec.key_range),
-                static_cast<unsigned long long>(spec.prefill), panel.tag);
-    std::vector<std::string> header{"threads", "HCF"};
-    for (const std::size_t shards : kShardCounts) {
-      header.push_back("HCF-s" + std::to_string(shards));
-    }
-    hcf::util::TextTable table(header);
-    double s1_at_max = 0.0, s8_at_max = 0.0;
-    for (std::size_t threads : opts.threads) {
-      std::vector<std::string> row{std::to_string(threads)};
-      const auto flat = run_flat(spec, threads, opts.driver);
-      report.add(spec.label(), "HCF", threads, work, flat);
-      row.push_back(hcf::util::TextTable::num(flat.throughput_mops()));
-      for (const std::size_t shards : kShardCounts) {
-        const auto result = run_sharded(shards, spec, threads, opts.driver);
-        report.add(spec.label(), "HCF-s" + std::to_string(shards), threads,
-                   work, result);
-        row.push_back(hcf::util::TextTable::num(result.throughput_mops()));
-        if (threads == opts.threads.back()) {
-          if (shards == 1) s1_at_max = result.throughput_mops();
-          if (shards == 8) s8_at_max = result.throughput_mops();
-        }
-      }
-      table.add_row(std::move(row));
-    }
-    table.print(std::cout);
-    if (s1_at_max > 0.0) {
+  bench::Layout layout;
+  layout.footer = [](const bench::Grid& grid) {
+    const double s1 = grid.cells.back()[kS1].result.throughput_mops();
+    const double s8 = grid.cells.back()[kS8].result.throughput_mops();
+    if (s1 > 0.0) {
       std::printf("8-shard vs 1-shard gain at %zu threads: %.2fx\n",
-                  opts.threads.back(), s8_at_max / s1_at_max);
+                  grid.threads.back(), s8 / s1);
     }
-  }
+  };
+  bench::sweep(
+      opts, report, kPanels, kVariants,
+      [&](const bench::HtPanel& panel) {
+        return panel.preempt ? std::vector<std::uint32_t>{0}
+                             : opts.work_settings();
+      },
+      [](const bench::HtPanel& panel, std::uint32_t work) {
+        return panel.heading(work, panel.preempt ? "preemption-amplified"
+                                                 : bench::work_name(work));
+      },
+      [&](const bench::HtPanel& panel, std::uint32_t work,
+          const Variant& variant, std::size_t threads) {
+        return run_cell(panel.spec(work), variant, threads, opts.driver);
+      },
+      layout);
   return report.finish();
 }

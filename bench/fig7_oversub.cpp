@@ -14,128 +14,68 @@
 // preempted combiner's quantum, which shows up in the tail long before it
 // shows up in the mean (DESIGN.md §12, EXPERIMENTS.md "Figure 7").
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/engine.hpp"
-#include "harness/issuers.hpp"
-#include "mem/ebr.hpp"
 #include "util/parking.hpp"
-#include "util/table.hpp"
 
 namespace {
 
 using namespace hcf;
-using Table = ds::HashTable<std::uint64_t, std::uint64_t>;
 
-constexpr std::uint64_t kKeyRange = 16 * 1024;
-
-std::unique_ptr<Table> make_prefilled_table(const harness::WorkloadSpec& spec) {
-  auto table = std::make_unique<Table>(spec.key_range);
-  // Deterministic prefill of every other key up to half the range.
-  for (std::uint64_t k = 0; k < spec.prefill; ++k) {
-    table->insert(k * 2 % spec.key_range, (k * 2 % spec.key_range) * 2 + 1);
-  }
-  return table;
-}
-
-harness::RunResult run_policy(util::WaitPolicy wait,
-                              const harness::WorkloadSpec& spec,
-                              std::size_t threads,
-                              const harness::DriverOptions& options) {
-  auto table = make_prefilled_table(spec);
-  core::HcfEngine<Table> engine(*table, adapters::ht_paper_config(),
-                                adapters::kHtNumArrays);
-  for (std::size_t cls = 0; cls < engine.num_classes(); ++cls) {
-    core::PhasePolicy policy = engine.class_config(cls).policy;
-    policy.wait = wait;
-    engine.set_class_policy(cls, policy);
-  }
-  auto result = harness::run_timed(
-      engine, threads,
-      [&](std::size_t t) {
-        return harness::HtWorker<core::HcfEngine<Table>>(engine, spec,
-                                                         17 + t * 7919);
-      },
-      options);
-  mem::EbrDomain::instance().drain();
-  return result;
-}
+const bench::HtPanel kPanels[] = {{"7(a)", "paper", 40, false},
+                                  {"7(b)", "preempt", 40, true}};
 
 struct Variant {
-  const char* name;
+  std::string name;
   util::WaitPolicy wait;
 };
-const Variant kVariants[] = {
+const std::vector<Variant> kVariants{
     {"HCF-spinyield", util::WaitPolicy::SpinYield},
     {"HCF-spinpark", util::WaitPolicy::SpinPark},
 };
-
-std::string us(std::uint64_t ns) {
-  return hcf::util::TextTable::num(static_cast<double>(ns) / 1000.0);
-}
 
 }  // namespace
 
 int main(int argc, char** argv) {
   // Unless the caller picked a sweep, default to the oversubscribed range:
   // parking only differentiates itself once threads outnumber cores.
-  bool threads_chosen = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--threads=", 0) == 0 || arg == "--quick") {
-      threads_chosen = true;
-    }
-  }
-  auto opts = hcf::bench::BenchOptions::parse(argc, argv);
-  if (!threads_chosen) opts.threads = {2, 4, 8, 16, 32};
+  auto opts = bench::BenchOptions::parse(argc, argv, {2, 4, 8, 16, 32});
   opts.driver.measure_latency = true;
-  hcf::bench::BenchReport report(opts, "fig7_oversub");
-  hcf::bench::print_header(
+  bench::BenchReport report(opts, "fig7_oversub");
+  bench::print_header(
       "Figure 7",
       "oversubscribed hash table (40f mix): wait-policy throughput and tail");
 
-  struct Panel {
-    const char* id;
-    const char* tag;
-    bool preempt;
-  };
-  const Panel panels[] = {{"7(a)", "paper", false}, {"7(b)", "preempt", true}};
-
-  for (const auto& panel : panels) {
-    if (!opts.workload_filter.empty() && opts.workload_filter != panel.tag) {
-      continue;
-    }
-    auto spec = hcf::harness::WorkloadSpec::reads(40, kKeyRange);
-    // Preemption (not critical-section width) is the axis of this figure;
-    // --cs-work still lets a sweep pin a nonzero width if it wants both.
-    spec.cs_work = opts.cs_work > 0 ? static_cast<std::uint32_t>(opts.cs_work)
-                                    : 0;
-    spec.cs_preempt = panel.preempt;
-    std::printf("\nFig %s: workload %s (key range %llu, prefill %llu)%s\n",
-                panel.id, spec.label().c_str(),
-                static_cast<unsigned long long>(spec.key_range),
-                static_cast<unsigned long long>(spec.prefill),
-                panel.preempt ? " [preemption-amplified]"
-                              : " [paper parameters]");
-    hcf::util::TextTable table({"threads", "spinyield Mops", "spinpark Mops",
-                                "spinyield p999(us)", "spinpark p999(us)"});
-    for (std::size_t threads : opts.threads) {
-      std::vector<std::string> row{std::to_string(threads)};
-      std::vector<std::string> tails;
-      for (const auto& variant : kVariants) {
-        const auto result =
-            run_policy(variant.wait, spec, threads, opts.driver);
-        report.add(spec.label(), variant.name, threads, spec.cs_work, result);
-        row.push_back(hcf::util::TextTable::num(result.throughput_mops()));
-        tails.push_back(us(result.latency_p999_ns));
-      }
-      for (auto& t : tails) row.push_back(std::move(t));
-      table.add_row(std::move(row));
-    }
-    table.print(std::cout);
-  }
+  const auto p999 = bench::usec_of(&harness::RunResult::latency_p999_ns);
+  bench::Layout layout;
+  layout.views.push_back({"",
+                          {{"spinyield Mops", 0, bench::mops},
+                           {"spinpark Mops", 1, bench::mops},
+                           {"spinyield p999(us)", 0, p999},
+                           {"spinpark p999(us)", 1, p999}}});
+  bench::sweep(
+      // Preemption (not critical-section width) is the axis of this
+      // figure; --cs-work still lets a sweep pin a nonzero width too.
+      opts, report, kPanels, kVariants, opts.one_work(0),
+      [](const bench::HtPanel& panel, std::uint32_t work) {
+        return panel.heading(work, panel.preempt ? "preemption-amplified"
+                                                 : "paper parameters");
+      },
+      [&](const bench::HtPanel& panel, std::uint32_t work,
+          const Variant& variant, std::size_t threads) {
+        const auto spec = panel.spec(work);
+        auto table = bench::make_hash_table(spec);
+        core::HcfEngine<bench::HashTable> engine(
+            *table, adapters::ht_paper_config(), adapters::kHtNumArrays);
+        for (std::size_t cls = 0; cls < engine.num_classes(); ++cls) {
+          core::PhasePolicy policy = engine.class_config(cls).policy;
+          policy.wait = variant.wait;
+          engine.set_class_policy(cls, policy);
+        }
+        return bench::run_ht(engine, spec, threads, opts.driver, 17, 7919);
+      },
+      layout);
   return report.finish();
 }

@@ -18,51 +18,24 @@
 // faster because groups apply in parallel, which shows up as more rounds
 // per second before it shows up in end-to-end Mops.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/engine.hpp"
-#include "harness/issuers.hpp"
-#include "mem/ebr.hpp"
-#include "util/table.hpp"
 
 namespace {
 
 using namespace hcf;
-using Table = ds::HashTable<std::uint64_t, std::uint64_t>;
 
-constexpr std::uint64_t kKeyRange = 16 * 1024;
+const bench::HtPanel kPanels[] = {{"8(a)", "paper", 20, false},
+                                  {"8(b)", "preempt", 20, true}};
 
-std::unique_ptr<Table> make_prefilled_table(const harness::WorkloadSpec& spec) {
-  auto table = std::make_unique<Table>(spec.key_range);
-  // Deterministic prefill of every other key up to half the range.
-  for (std::uint64_t k = 0; k < spec.prefill; ++k) {
-    table->insert(k * 2 % spec.key_range, (k * 2 % spec.key_range) * 2 + 1);
-  }
-  return table;
-}
-
-harness::RunResult run_variant(bool delegate, const harness::WorkloadSpec& spec,
-                               std::size_t threads,
-                               const harness::DriverOptions& options) {
-  auto table = make_prefilled_table(spec);
-  core::HcfEngine<Table> engine(
-      *table,
-      delegate ? adapters::ht_delegate_config() : adapters::ht_paper_config(),
-      adapters::kHtNumArrays);
-  if (delegate) adapters::ht_seed_commutes(engine);
-  auto result = harness::run_timed(
-      engine, threads,
-      [&](std::size_t t) {
-        return harness::HtWorker<core::HcfEngine<Table>>(engine, spec,
-                                                         23 + t * 7919);
-      },
-      options);
-  mem::EbrDomain::instance().drain();
-  return result;
-}
+struct Variant {
+  std::string name;
+  bool delegate;
+};
+const std::vector<Variant> kVariants{{"HCF-serial", false},
+                                     {"HCF-delegate", true}};
 
 // Combine-round throughput: sessions retired per second is the quantity
 // delegation accelerates (the serial combiner is the round's critical
@@ -78,62 +51,43 @@ double rounds_per_sec(const harness::RunResult& r) {
 int main(int argc, char** argv) {
   // Default past the core count: delegation needs waiters to delegate to,
   // and the preempt panel needs oversubscription to deschedule combiners.
-  bool threads_chosen = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--threads=", 0) == 0 || arg == "--quick") {
-      threads_chosen = true;
-    }
-  }
-  auto opts = hcf::bench::BenchOptions::parse(argc, argv);
-  if (!threads_chosen) opts.threads = {2, 4, 8, 16, 32};
-  hcf::bench::BenchReport report(opts, "fig8_parallel_combine");
-  hcf::bench::print_header(
+  auto opts = bench::BenchOptions::parse(argc, argv, {2, 4, 8, 16, 32});
+  bench::BenchReport report(opts, "fig8_parallel_combine");
+  bench::print_header(
       "Figure 8",
       "parallel combining (20f mix): serial vs delegated group apply");
 
-  struct Panel {
-    const char* id;
-    const char* tag;
-    bool preempt;
-  };
-  const Panel panels[] = {{"8(a)", "paper", false}, {"8(b)", "preempt", true}};
-
-  for (const auto& panel : panels) {
-    if (!opts.workload_filter.empty() && opts.workload_filter != panel.tag) {
-      continue;
-    }
-    auto spec = hcf::harness::WorkloadSpec::reads(20, kKeyRange);
-    spec.cs_work = opts.cs_work > 0 ? static_cast<std::uint32_t>(opts.cs_work)
-                                    : 0;
-    spec.cs_preempt = panel.preempt;
-    std::printf("\nFig %s: workload %s (key range %llu, prefill %llu)%s\n",
-                panel.id, spec.label().c_str(),
-                static_cast<unsigned long long>(spec.key_range),
-                static_cast<unsigned long long>(spec.prefill),
-                panel.preempt ? " [preemption-amplified]"
-                              : " [paper parameters]");
-    hcf::util::TextTable table({"threads", "serial Mops", "delegate Mops",
-                                "serial rounds/s", "delegate rounds/s",
-                                "delegated ops", "fallbacks"});
-    for (std::size_t threads : opts.threads) {
-      std::vector<std::string> row{std::to_string(threads)};
-      std::vector<std::string> extra;
-      for (const bool delegate : {false, true}) {
-        const auto result = run_variant(delegate, spec, threads, opts.driver);
-        report.add(spec.label(), delegate ? "HCF-delegate" : "HCF-serial",
-                   threads, spec.cs_work, result);
-        row.push_back(hcf::util::TextTable::num(result.throughput_mops()));
-        extra.push_back(hcf::util::TextTable::num(rounds_per_sec(result)));
-        if (delegate) {
-          extra.push_back(std::to_string(result.engine.delegated_ops));
-          extra.push_back(std::to_string(result.engine.delegate_fallbacks));
-        }
-      }
-      for (auto& e : extra) row.push_back(std::move(e));
-      table.add_row(std::move(row));
-    }
-    table.print(std::cout);
-  }
+  using R = harness::RunResult;
+  bench::Layout layout;
+  layout.views.push_back(
+      {"",
+       {{"serial Mops", 0, bench::mops},
+        {"delegate Mops", 1, bench::mops},
+        {"serial rounds/s", 0, bench::num_of(rounds_per_sec)},
+        {"delegate rounds/s", 1, bench::num_of(rounds_per_sec)},
+        {"delegated ops", 1,
+         bench::num_of([](const R& r) { return r.engine.delegated_ops; })},
+        {"fallbacks", 1, bench::num_of([](const R& r) {
+           return r.engine.delegate_fallbacks;
+         })}}});
+  bench::sweep(
+      opts, report, kPanels, kVariants, opts.one_work(0),
+      [](const bench::HtPanel& panel, std::uint32_t work) {
+        return panel.heading(work, panel.preempt ? "preemption-amplified"
+                                                 : "paper parameters");
+      },
+      [&](const bench::HtPanel& panel, std::uint32_t work,
+          const Variant& variant, std::size_t threads) {
+        const auto spec = panel.spec(work);
+        auto table = bench::make_hash_table(spec);
+        core::HcfEngine<bench::HashTable> engine(
+            *table,
+            variant.delegate ? adapters::ht_delegate_config()
+                             : adapters::ht_paper_config(),
+            adapters::kHtNumArrays);
+        if (variant.delegate) adapters::ht_seed_commutes(engine);
+        return bench::run_ht(engine, spec, threads, opts.driver, 23, 7919);
+      },
+      layout);
   return report.finish();
 }

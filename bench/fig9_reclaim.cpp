@@ -21,17 +21,13 @@
 #include <atomic>
 #include <cstdio>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
-#include "adapters/avl_ops.hpp"
-#include "adapters/list_ops.hpp"
 #include "bench_util.hpp"
-#include "core/engine.hpp"
-#include "harness/workload.hpp"
 #include "mem/alloc.hpp"
-#include "mem/ebr.hpp"
 #include "util/rng.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -92,12 +88,14 @@ struct MicroEngine {
 enum class Alloc : std::uint8_t { Legacy, Pooled };
 enum class Flow : std::uint8_t { Local, Remote };
 
-const char* variant_name(Alloc a, Flow f) {
-  if (a == Alloc::Legacy) {
-    return f == Flow::Local ? "legacy-local" : "legacy-remote";
-  }
-  return f == Flow::Local ? "pooled-local" : "pooled-remote";
-}
+// A column of either panel: panel (a) varies the allocator and the node
+// flow, panel (b) the shard count.
+struct Variant {
+  std::string name;
+  Alloc alloc = Alloc::Pooled;
+  Flow flow = Flow::Local;
+  std::size_t shards = 1;
+};
 
 void* micro_alloc(Alloc a) {
   if (a == Alloc::Legacy) return new MicroNode{};
@@ -118,9 +116,11 @@ void micro_retire(Alloc a, void* p) {
 // full — or there is no partner (odd thread counts, Flow::Local) — retire
 // our own node instead, so allocation and retirement stay balanced and
 // memory stays bounded regardless of scheduling.
-harness::RunResult run_micro(Alloc alloc_kind, Flow flow,
-                             std::size_t threads,
+harness::RunResult run_micro(const Variant& variant,
+                             const harness::WorkloadSpec&, std::size_t threads,
                              const harness::DriverOptions& options) {
+  const Alloc alloc_kind = variant.alloc;
+  const Flow flow = variant.flow;
   std::vector<std::unique_ptr<HandoffRing>> rings;
   for (std::size_t t = 0; t < threads; ++t) {
     rings.push_back(std::make_unique<HandoffRing>());
@@ -150,190 +150,130 @@ harness::RunResult run_micro(Alloc alloc_kind, Flow flow,
     while (void* p = ring->pop()) micro_retire(alloc_kind, p);
   }
   mem::flush_remote_frees();
-  mem::EbrDomain::instance().drain();
   return result;
 }
 
 // ---- Panel (b): node-heavy engine workloads --------------------------------
 
 using List = ds::SortedList<std::uint64_t>;
-using ShardedList = core::ShardedEngine<core::HcfEngine<List>>;
 using Tree = ds::AvlTree<std::uint64_t>;
-using ShardedAvl = core::ShardedEngine<core::HcfEngine<Tree>>;
 
 constexpr std::uint64_t kListKeyRange = 512;  // list is O(n): keep it modest
 constexpr std::uint64_t kAvlKeyRange = 4096;
-constexpr std::size_t kShardCounts[] = {1, 8};
 
-template <typename ContainsOp, typename InsertOp, typename RemoveOp,
-          typename Engine>
-class NodeChurnWorker {
- public:
-  NodeChurnWorker(Engine& engine, const harness::WorkloadSpec& spec,
-                  std::uint64_t seed)
-      : engine_(engine), spec_(spec), keys_(spec, seed) {
-    contains_.set_sharded(true);
-    insert_.set_sharded(true);
-    remove_.set_sharded(true);
-    contains_.set_work(spec.cs_work);
-    insert_.set_work(spec.cs_work);
-    remove_.set_work(spec.cs_work);
-  }
-
-  void operator()() {
-    const std::uint64_t key = keys_.next_key();
-    const int p = keys_.next_percent();
-    if (p < spec_.find_pct) {
-      contains_.set(key);
-      engine_.execute(contains_);
-    } else if (p < spec_.find_pct + spec_.insert_pct) {
-      insert_.set(key);
-      engine_.execute(insert_);
-    } else {
-      remove_.set(key);
-      engine_.execute(remove_);
-    }
-  }
-
- private:
-  Engine& engine_;
-  harness::WorkloadSpec spec_;
-  harness::KeyGenerator keys_;
-  ContainsOp contains_;
-  InsertOp insert_;
-  RemoveOp remove_;
-};
-
-template <typename DS, typename Sharded, typename Worker>
-harness::RunResult run_node_heavy(std::size_t shards,
+// Sharded HCF over `variant.shards` prefilled DS shards with the class
+// table classes().
+template <typename DS, typename Ops, auto classes>
+harness::RunResult run_node_heavy(const Variant& variant,
                                   const harness::WorkloadSpec& spec,
                                   std::size_t threads,
-                                  const harness::DriverOptions& options,
-                                  std::vector<core::ClassConfig> classes) {
+                                  const harness::DriverOptions& options) {
+  using Sharded = core::ShardedEngine<core::HcfEngine<DS>>;
+  const std::size_t shards = variant.shards;
   std::vector<std::unique_ptr<DS>> owned;
   std::vector<DS*> ptrs;
   for (std::size_t s = 0; s < shards; ++s) {
     owned.push_back(std::make_unique<DS>());
     ptrs.push_back(owned.back().get());
   }
-  for (std::uint64_t k = 0; k < spec.key_range; k += 2) {
-    ptrs[Sharded::route(util::mix64(k), shards)]->insert(k);
-  }
-  Sharded engine(std::span<DS* const>(ptrs), std::move(classes));
-  auto result = harness::run_timed(
+  bench::prefill_set(spec.key_range, [&](std::uint64_t key) {
+    ptrs[Sharded::route(util::mix64(key), shards)]->insert(key);
+  });
+  Sharded engine(std::span<DS* const>(ptrs), classes());
+  return harness::run_timed(
       engine, threads,
-      [&](std::size_t t) { return Worker(engine, spec, 23 + t * 7919); },
+      [&](std::size_t t) {
+        return bench::set_worker<Ops>(engine, spec, 23 + t * 7919, true);
+      },
       options);
-  mem::EbrDomain::instance().drain();
-  return result;
+}
+
+// ---- The two panels ---------------------------------------------------------
+
+struct Panel {
+  const char* tag;          // also the JSON workload key
+  std::uint64_t key_range;  // 0: the retire micro, which has no keys
+  harness::RunResult (*run)(const Variant&, const harness::WorkloadSpec&,
+                            std::size_t, const harness::DriverOptions&);
+  std::vector<Variant> variants;
+};
+const Panel kPanels[] = {
+    {"retire-micro",
+     0,
+     run_micro,
+     {{"legacy-local", Alloc::Legacy, Flow::Local},
+      {"legacy-remote", Alloc::Legacy, Flow::Remote},
+      {"pooled-local", Alloc::Pooled, Flow::Local},
+      {"pooled-remote", Alloc::Pooled, Flow::Remote}}},
+    {"list",
+     kListKeyRange,
+     run_node_heavy<List, bench::ListOps, adapters::list_paper_config>,
+     {{"list-s1", {}, {}, 1}, {"list-s8", {}, {}, 8}}},
+    {"avl",
+     kAvlKeyRange,
+     run_node_heavy<Tree, bench::AvlOps, adapters::avl_paper_config>,
+     {{"avl-s1", {}, {}, 1}, {"avl-s8", {}, {}, 8}}},
+};
+
+constexpr std::size_t kLegacyRemote = 1, kPooledRemote = 3;  // micro variants
+
+bool is_micro(const Panel& panel) { return panel.key_range == 0; }
+
+harness::WorkloadSpec spec_of(const Panel& panel, std::uint32_t work) {
+  auto spec = harness::WorkloadSpec::reads(0, panel.key_range);
+  spec.cs_work = work;
+  return spec;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = hcf::bench::BenchOptions::parse(argc, argv);
-  hcf::bench::BenchReport report(opts, "fig9_reclaim");
-  hcf::bench::print_header(
+  auto opts = bench::BenchOptions::parse(argc, argv);
+  bench::BenchReport report(opts, "fig9_reclaim");
+  bench::print_header(
       "Figure 9", "batched cross-thread reclamation (Mops/s)");
 
-  using hcf::harness::RunResult;
-
-  // ---- panel (a) ----
-  const bool micro_wanted =
-      opts.workload_filter.empty() || opts.workload_filter == "retire-micro";
-  double legacy_remote_at_max = 0.0, pooled_remote_at_max = 0.0;
-  if (micro_wanted) {
-    std::printf("\nFig 9a: retire micro — alloc+retire round trips, "
-                "partner pairs exchange nodes\n");
-    hcf::util::TextTable table({"threads", "legacy-local", "legacy-remote",
-                                "pooled-local", "pooled-remote"});
-    for (const std::size_t threads : opts.threads) {
-      std::vector<std::string> row{std::to_string(threads)};
-      for (const Alloc a : {Alloc::Legacy, Alloc::Pooled}) {
-        for (const Flow f : {Flow::Local, Flow::Remote}) {
-          const RunResult r = run_micro(a, f, threads, opts.driver);
-          report.add("retire-micro", variant_name(a, f), threads, 0, r);
-          row.push_back(hcf::util::TextTable::num(r.throughput_mops()));
-          if (threads == opts.threads.back() && f == Flow::Remote) {
-            (a == Alloc::Legacy ? legacy_remote_at_max
-                                : pooled_remote_at_max) =
-                r.throughput_mops();
-          }
-        }
-      }
-      table.add_row(std::move(row));
-    }
-    table.print(std::cout);
-    if (legacy_remote_at_max > 0.0) {
+  bench::Layout layout;
+  layout.footer = [](const bench::Grid& grid) {
+    if (grid.workload != kPanels[0].tag) return;
+    const double legacy =
+        grid.cells.back()[kLegacyRemote].result.throughput_mops();
+    const double pooled =
+        grid.cells.back()[kPooledRemote].result.throughput_mops();
+    if (legacy > 0.0) {
       std::printf(
           "pooled vs legacy cross-thread retire gain at %zu threads: %.2fx\n",
-          opts.threads.back(), pooled_remote_at_max / legacy_remote_at_max);
+          grid.threads.back(), pooled / legacy);
     }
-  }
-
-  // ---- panel (b) ----
-  auto list_spec = hcf::harness::WorkloadSpec::reads(0, kListKeyRange);
-  auto avl_spec = hcf::harness::WorkloadSpec::reads(0, kAvlKeyRange);
-  if (opts.cs_work > 0) {
-    list_spec.cs_work = static_cast<std::uint32_t>(opts.cs_work);
-    avl_spec.cs_work = static_cast<std::uint32_t>(opts.cs_work);
-  }
-
-  struct Structure {
-    const char* name;
-    const hcf::harness::WorkloadSpec& spec;
-    RunResult (*run)(std::size_t, const hcf::harness::WorkloadSpec&,
-                     std::size_t, const hcf::harness::DriverOptions&);
   };
-  const Structure structures[] = {
-      {"list", list_spec,
-       [](std::size_t shards, const hcf::harness::WorkloadSpec& spec,
-          std::size_t threads, const hcf::harness::DriverOptions& options) {
-         using Worker = NodeChurnWorker<
-             hcf::adapters::ListContainsOp<std::uint64_t>,
-             hcf::adapters::ListInsertOp<std::uint64_t>,
-             hcf::adapters::ListRemoveOp<std::uint64_t>, ShardedList>;
-         return run_node_heavy<List, ShardedList, Worker>(
-             shards, spec, threads, options,
-             hcf::adapters::list_paper_config());
-       }},
-      {"avl", avl_spec,
-       [](std::size_t shards, const hcf::harness::WorkloadSpec& spec,
-          std::size_t threads, const hcf::harness::DriverOptions& options) {
-         using Worker = NodeChurnWorker<
-             hcf::adapters::AvlContainsOp<std::uint64_t>,
-             hcf::adapters::AvlInsertOp<std::uint64_t>,
-             hcf::adapters::AvlRemoveOp<std::uint64_t>, ShardedAvl>;
-         return run_node_heavy<Tree, ShardedAvl, Worker>(
-             shards, spec, threads, options,
-             hcf::adapters::avl_paper_config());
-       }},
-  };
-
-  for (const Structure& s : structures) {
-    if (!opts.workload_filter.empty() && opts.workload_filter != s.name) {
-      continue;
-    }
-    std::printf("\nFig 9b: %s set, %s (key range %llu) — node churn across "
-                "shards\n",
-                s.name, s.spec.label().c_str(),
-                static_cast<unsigned long long>(s.spec.key_range));
-    std::vector<std::string> header{"threads"};
-    for (const std::size_t shards : kShardCounts) {
-      header.push_back(std::string(s.name) + "-s" + std::to_string(shards));
-    }
-    hcf::util::TextTable table(header);
-    for (const std::size_t threads : opts.threads) {
-      std::vector<std::string> row{std::to_string(threads)};
-      for (const std::size_t shards : kShardCounts) {
-        const RunResult r = s.run(shards, s.spec, threads, opts.driver);
-        report.add(s.name, std::string(s.name) + "-s" + std::to_string(shards),
-                   threads, s.spec.cs_work, r);
-        row.push_back(hcf::util::TextTable::num(r.throughput_mops()));
-      }
-      table.add_row(std::move(row));
-    }
-    table.print(std::cout);
-  }
+  bench::sweep(
+      opts, report, kPanels,
+      [](const Panel& panel) -> const std::vector<Variant>& {
+        return panel.variants;
+      },
+      [&](const Panel& panel) {
+        // The micro has no critical section to widen.
+        return std::vector<std::uint32_t>{
+            !is_micro(panel) && opts.cs_work > 0
+                ? static_cast<std::uint32_t>(opts.cs_work)
+                : 0};
+      },
+      [](const Panel& panel, std::uint32_t work) {
+        if (is_micro(panel)) {
+          std::printf("\nFig 9a: retire micro — alloc+retire round trips, "
+                      "partner pairs exchange nodes\n");
+        } else {
+          std::printf("\nFig 9b: %s set, %s (key range %llu) — node churn "
+                      "across shards\n",
+                      panel.tag, spec_of(panel, work).label().c_str(),
+                      static_cast<unsigned long long>(panel.key_range));
+        }
+        return std::string(panel.tag);
+      },
+      [&](const Panel& panel, std::uint32_t work, const Variant& variant,
+          std::size_t threads) {
+        return panel.run(variant, spec_of(panel, work), threads, opts.driver);
+      },
+      layout);
   return report.finish();
 }

@@ -3,19 +3,11 @@
 // quantify the simulator's constant factors — useful context when reading
 // the figure benchmarks' absolute numbers.
 //
-// Custom main (instead of benchmark_main) so this binary speaks the same
-// machine-readable protocol as the figure benches:
-//   --json=FILE   write an hcf-bench-v1 report (one row per benchmark run)
-//   --quick       short measurement window (maps to --benchmark_min_time)
-// All --benchmark_* flags pass through to google-benchmark unchanged.
+// Custom main (gbench_main.hpp, instead of benchmark_main) so this binary
+// speaks the same machine-readable protocol as the figure benches.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstring>
-#include <string>
-#include <vector>
-
-#include "harness/report.hpp"
+#include "gbench_main.hpp"
 
 #include "core/publication_array.hpp"
 #include "mem/ebr.hpp"
@@ -230,79 +222,8 @@ void BM_TxnCommitConflictCost(benchmark::State& state) {
 }
 BENCHMARK(BM_TxnCommitConflictCost);
 
-// Console output plus a side-channel capture of every run, so we can emit
-// the hcf-bench-v1 JSON rows after google-benchmark finishes.
-class CollectingReporter final : public benchmark::ConsoleReporter {
- public:
-  struct Sample {
-    std::string name;
-    int threads;
-    std::uint64_t iterations;
-    double real_seconds;
-  };
-
-  void ReportRuns(const std::vector<Run>& reports) override {
-    for (const Run& run : reports) {
-      if (run.error_occurred) continue;
-      samples_.push_back({run.benchmark_name(),
-                          static_cast<int>(run.threads),
-                          static_cast<std::uint64_t>(run.iterations),
-                          run.real_accumulated_time});
-    }
-    ConsoleReporter::ReportRuns(reports);
-  }
-
-  const std::vector<Sample>& samples() const { return samples_; }
-
- private:
-  std::vector<Sample> samples_;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  std::vector<char*> bench_args;
-  bench_args.push_back(argv[0]);
-  // Injected first so an explicit --benchmark_min_time later wins.
-  static char quick_flag[] = "--benchmark_min_time=0.05";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-      if (json_path.empty()) {
-        std::fprintf(stderr, "error: --json requires a file path\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      bench_args.insert(bench_args.begin() + 1, quick_flag);
-    } else {
-      bench_args.push_back(argv[i]);
-    }
-  }
-
-  int bench_argc = static_cast<int>(bench_args.size());
-  benchmark::Initialize(&bench_argc, bench_args.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_args.data())) {
-    return 2;
-  }
-
-  CollectingReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-
-  if (!json_path.empty()) {
-    hcf::harness::JsonReport report("micro_substrate");
-    for (const auto& s : reporter.samples()) {
-      hcf::harness::RunResult result;
-      result.total_ops = s.iterations;
-      result.duration_s = s.real_seconds;
-      report.add_row(s.name, "substrate",
-                     static_cast<std::size_t>(s.threads), 0, result);
-    }
-    if (!report.write_file(json_path)) {
-      std::fprintf(stderr, "error: failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
-  return 0;
+  return hcf::bench::gbench_main(argc, argv, "micro_substrate", "substrate");
 }

@@ -45,15 +45,13 @@ int main(int argc, char** argv) {
       "PQ motivation (paper §1/§3.1)",
       "skip-list priority queue, Insert vs RemoveMin mixes (Mops/s)");
 
-  const bench::HcfClasses paper_hcf{adapters::pq_paper_config(),
-                                    adapters::kPqNumArrays};
-  bench::roster_sweep(
+  bench::sweep(
       opts, report, kPanels, bench::kPaperRoster, opts.work_settings(),
       [](const Panel& panel, std::uint32_t work) {
-        std::printf("\n%d%% Insert / %d%% RemoveMin (prefill %llu)%s:\n",
+        std::printf("\n%d%% Insert / %d%% RemoveMin (prefill %llu) [%s]:\n",
                     panel.insert_pct, 100 - panel.insert_pct,
                     static_cast<unsigned long long>(kPrefill),
-                    bench::work_tag(work));
+                    bench::work_name(work));
         return std::string(panel.tag);
       },
       [&](const Panel& panel, std::uint32_t work, const std::string& engine,
@@ -64,15 +62,12 @@ int main(int argc, char** argv) {
         // selection lock for its whole run, so waiting RemoveMins
         // accumulate into large combined batches.
         const std::string variant = engine == "HCF" ? "HCF-1C" : engine;
-        return bench::run_engine(variant, *pq, paper_hcf, [&](auto& e) {
-          return harness::run_timed(
-              e, threads,
-              [&](std::size_t t) {
-                return harness::PqWorker(e, panel.insert_pct, kKeyRange,
-                                         91 + t * 47, work);
-              },
-              opts.driver);
-        });
+        return bench::run_engine(
+            variant, *pq, adapters::pq_paper_config(), adapters::kPqNumArrays,
+            threads, opts.driver, [&](auto& e, std::size_t t) {
+              return harness::PqWorker(e, panel.insert_pct, kKeyRange,
+                                       91 + t * 47, work);
+            });
       });
   return report.finish();
 }

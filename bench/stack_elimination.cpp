@@ -7,13 +7,12 @@
 //
 // Reports throughput and the elimination rate per engine.
 #include <cstdio>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "adapters/stack_ops.hpp"
 #include "bench_util.hpp"
-#include "core/engine.hpp"
-#include "mem/ebr.hpp"
-#include "util/table.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -21,124 +20,79 @@ using namespace hcf;
 using St = ds::Stack<std::uint64_t>;
 using Base = adapters::StackOpBase<std::uint64_t>;
 
+template <typename Engine>
 class StackWorker {
  public:
-  template <typename Engine>
   StackWorker(Engine& engine, int push_pct, std::uint64_t seed,
               std::uint32_t cs_work)
-      : push_pct_(push_pct), rng_(seed) {
+      : engine_(engine), push_pct_(push_pct), rng_(seed) {
     push_.set_work(cs_work);
     pop_.set_work(cs_work);
-    execute_ = [&engine](core::Operation<St>& op) { engine.execute(op); };
   }
 
   void operator()() {
     if (static_cast<int>(rng_.next_bounded(100)) < push_pct_) {
       push_.set(rng_.next());
-      execute_(push_);
+      engine_.execute(push_);
     } else {
-      execute_(pop_);
+      engine_.execute(pop_);
     }
   }
 
  private:
+  Engine& engine_;
   int push_pct_;
   util::Xoshiro256 rng_;
   adapters::StackPushOp<std::uint64_t> push_;
   adapters::StackPopOp<std::uint64_t> pop_;
-  std::function<void(core::Operation<St>&)> execute_;
 };
 
-template <typename Engine>
-std::pair<harness::RunResult, std::uint64_t> run_one(
-    Engine& engine, int push_pct, std::size_t threads,
-    const harness::DriverOptions& options, std::uint32_t cs_work) {
-  Base::reset_eliminations();
-  auto result = harness::run_timed(
-      engine, threads,
-      [&](std::size_t t) {
-        return StackWorker(engine, push_pct, 3 + t * 11, cs_work);
-      },
-      options);
-  return {result, Base::eliminations()};
-}
+const bench::Workload kPanels[] = {{"50push/50pop"}};
+const std::vector<std::string> kEngines{"Lock", "TLE", "FC", "HCF", "HCF-1C"};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = hcf::bench::BenchOptions::parse(argc, argv);
-  hcf::bench::BenchReport report(opts, "stack_elimination");
+  auto opts = bench::BenchOptions::parse(argc, argv);
+  bench::BenchReport report(opts, "stack_elimination");
   bench::print_header("Stack (paper §3.1)",
                       "always-conflicting stack; throughput + elimination");
 
-  for (const std::uint32_t work : opts.work_settings()) {
-    std::printf("\n=== %s (50%% push / 50%% pop) ===\n",
-                work == 0 ? "paper parameters" : "contention-amplified");
-    util::TextTable table({"threads", "Lock", "TLE", "FC", "FC-elim/kop",
-                           "HCF", "HCF-elim/kop", "HCF-1C"});
-    for (std::size_t threads : opts.threads) {
-      std::vector<std::string> row{std::to_string(threads)};
-      {
+  // Each cell's note is its eliminations per 1000 ops.
+  bench::Layout layout;
+  layout.views.push_back({"",
+                          {{"Lock", 0, bench::mops},
+                           {"TLE", 1, bench::mops},
+                           {"FC", 2, bench::mops},
+                           {"FC-elim/kop", 2, bench::note},
+                           {"HCF", 3, bench::mops},
+                           {"HCF-elim/kop", 3, bench::note},
+                           {"HCF-1C", 4, bench::mops}}});
+  bench::sweep(
+      opts, report, kPanels, kEngines, opts.work_settings(),
+      [](const auto& panel, std::uint32_t work) {
+        std::printf("\n=== %s (50%% push / 50%% pop) ===\n",
+                    bench::work_name(work));
+        return std::string(panel.tag);
+      },
+      [&](const auto&, std::uint32_t work, const std::string& engine,
+          std::size_t threads) {
         St st;
         for (int i = 0; i < 4096; ++i) st.push(i);
-        core::LockEngine<St> e(st);
-        const auto result = run_one(e, 50, threads, opts.driver, work).first;
-        report.add("50push/50pop", "Lock", threads, work, result);
-        row.push_back(util::TextTable::num(result.throughput_mops()));
-        mem::EbrDomain::instance().drain();
-      }
-      {
-        St st;
-        for (int i = 0; i < 4096; ++i) st.push(i);
-        core::TleEngine<St> e(st);
-        const auto result = run_one(e, 50, threads, opts.driver, work).first;
-        report.add("50push/50pop", "TLE", threads, work, result);
-        row.push_back(util::TextTable::num(result.throughput_mops()));
-        mem::EbrDomain::instance().drain();
-      }
-      {
-        St st;
-        for (int i = 0; i < 4096; ++i) st.push(i);
-        core::FcEngine<St> e(st);
-        const auto [result, elims] =
-            run_one(e, 50, threads, opts.driver, work);
-        report.add("50push/50pop", "FC", threads, work, result);
-        row.push_back(util::TextTable::num(result.throughput_mops()));
-        row.push_back(util::TextTable::num(
-            result.total_ops == 0
-                ? 0.0
-                : 1000.0 * static_cast<double>(elims) /
-                      static_cast<double>(result.total_ops)));
-        mem::EbrDomain::instance().drain();
-      }
-      {
-        St st;
-        for (int i = 0; i < 4096; ++i) st.push(i);
-        core::HcfEngine<St> e(st, adapters::stack_paper_config(), 1);
-        const auto [result, elims] =
-            run_one(e, 50, threads, opts.driver, work);
-        report.add("50push/50pop", "HCF", threads, work, result);
-        row.push_back(util::TextTable::num(result.throughput_mops()));
-        row.push_back(util::TextTable::num(
-            result.total_ops == 0
-                ? 0.0
-                : 1000.0 * static_cast<double>(elims) /
-                      static_cast<double>(result.total_ops)));
-        mem::EbrDomain::instance().drain();
-      }
-      {
-        St st;
-        for (int i = 0; i < 4096; ++i) st.push(i);
-        core::HcfSingleCombinerEngine<St> e(st,
-                                            adapters::stack_paper_config(), 1);
-        const auto result = run_one(e, 50, threads, opts.driver, work).first;
-        report.add("50push/50pop", "HCF-1C", threads, work, result);
-        row.push_back(util::TextTable::num(result.throughput_mops()));
-        mem::EbrDomain::instance().drain();
-      }
-      table.add_row(std::move(row));
-    }
-    table.print(std::cout);
-  }
+        Base::reset_eliminations();
+        const harness::RunResult result = bench::run_engine(
+            engine, st, adapters::stack_paper_config(), 1, threads,
+            opts.driver, [&](auto& e, std::size_t t) {
+              return StackWorker(e, 50, 3 + t * 11, work);
+            });
+        const double elims = static_cast<double>(Base::eliminations());
+        return bench::Cell{
+            result, util::TextTable::num(
+                        result.total_ops == 0
+                            ? 0.0
+                            : 1000.0 * elims /
+                                  static_cast<double>(result.total_ops))};
+      },
+      layout);
   return report.finish();
 }

@@ -356,23 +356,33 @@ class PhaseMachine {
         pa.selection_lock().wait_until_free(policy.wait);
       }
       op.enter_visible_attempt();
-      const bool committed = htm::attempt([&] {
-        lock_.subscribe();
-        // Abort if a combiner is scanning the array or selected us: these
-        // reads join the read set, so *later* selection also dooms us.
-        // Subscribe to the selection lock *before* reading the status. A
-        // SingleHolder combiner never strong-stores an op's status (and
-        // mark_done is plain), so a status read taken before this
-        // subscription could be extended past a whole combining session
-        // that applied the op — the snapshot revalidation would find the
-        // status orec unmoved and the freshly read lock word free.
-        pa.selection_lock().subscribe();
-        if (op.status_tx() != OpStatus::Announced) htm::abort_tx();
-        op.run_seq(ds_);
-        // Unpublish atomically with the op's effect (the race discussed in
-        // §2.2: a combiner must never select an already-applied op).
-        pa.remove_tx(&op);
-      });
+      bool committed;
+      try {
+        committed = htm::attempt([&] {
+          lock_.subscribe();
+          // Abort if a combiner is scanning the array or selected us: these
+          // reads join the read set, so *later* selection also dooms us.
+          // Subscribe to the selection lock *before* reading the status. A
+          // SingleHolder combiner never strong-stores an op's status (and
+          // mark_done is plain), so a status read taken before this
+          // subscription could be extended past a whole combining session
+          // that applied the op — the snapshot revalidation would find the
+          // status orec unmoved and the freshly read lock word free.
+          pa.selection_lock().subscribe();
+          if (op.status_tx() != OpStatus::Announced) htm::abort_tx();
+          op.run_seq(ds_);
+          // Unpublish atomically with the op's effect (the race discussed
+          // in §2.2: a combiner must never select an already-applied op).
+          pa.remove_tx(&op);
+        });
+      } catch (...) {
+        // The op body threw and the exception leaves execute(): the owner
+        // may free the descriptor, so no combiner may find it announced.
+        // The raised gate keeps scanners off it until the slot is clear.
+        pa.remove_strong();
+        op.leave_visible_attempt();
+        throw;
+      }
       op.leave_visible_attempt();
       if (committed) {
         complete(op, Phase::Visible);

@@ -3,7 +3,9 @@
 // same engine must complete. Each test throws from a lone thread's op
 // while the engine holds a lock (a SingleHolder combiner's selection lock,
 // SCM's auxiliary lock, FC's global lock), then runs a second op under a
-// watchdog: a leaked lock makes that op wait forever.
+// watchdog: a leaked lock makes that op wait forever. Nor may it leave
+// the op announced: its owner may free the descriptor once execute()
+// has thrown.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -16,6 +18,7 @@
 
 #include "engine_test_util.hpp"
 #include "mem/ebr.hpp"
+#include "util/thread_id.hpp"
 
 namespace hcf::test {
 namespace {
@@ -106,6 +109,35 @@ TEST(LockRelease, FcReleasesGlobalLock) {
             core::Phase::UnderLock);
   EXPECT_FALSE(engine.lock().is_locked());
   EXPECT_EQ(counter.value.get(), 1u);
+  mem::EbrDomain::instance().drain();
+}
+
+TEST(LockRelease, ThrowFromVisibleAttemptUnpublishesOp) {
+  Counter counter;
+  core::HcfEngine<Counter> engine(counter);  // (2, 3, 5)
+  auto& pa = engine.publication_array(0);
+  ScriptedOp failing;
+  failing.aborts = 2;    // both private runs abort...
+  failing.throw_at = 3;  // ...and the first visible run throws
+  EXPECT_THROW(engine.execute(failing), std::runtime_error);
+  EXPECT_EQ(pa.peek(util::this_thread_id()), nullptr);
+  EXPECT_FALSE(failing.in_visible_attempt());
+
+  // Another thread's op then combines on the same array. Its scan must
+  // not reach `failing`, whose owner may destroy it now, and it applies
+  // only its own op.
+  ScriptedOp next;
+  next.aborts = 5;  // 2 private + 3 visible runs abort
+  core::Phase phase{};
+  std::thread other([&] {
+    Watchdog watchdog(kLimit);
+    phase = engine.execute(next);
+  });
+  other.join();
+  EXPECT_EQ(phase, core::Phase::Combining);
+  EXPECT_EQ(failing.runs, 3);
+  EXPECT_EQ(counter.value.get(), 1u);
+  EXPECT_EQ(pa.peek(util::this_thread_id()), nullptr);
   mem::EbrDomain::instance().drain();
 }
 
