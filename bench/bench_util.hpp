@@ -439,7 +439,7 @@ struct Workload {
 };
 
 // One measured cell: the run, plus a note the bench derives while the
-// engine is still alive (elim/kop, the adaptive controller's lean).
+// engine is still alive (e.g. eliminations per 1000 ops).
 struct Cell {
   harness::RunResult result;
   std::string note = {};

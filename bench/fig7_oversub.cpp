@@ -15,6 +15,7 @@
 // shows up in the mean (DESIGN.md §12, EXPERIMENTS.md "Figure 7").
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -67,13 +68,10 @@ int main(int argc, char** argv) {
           const Variant& variant, std::size_t threads) {
         const auto spec = panel.spec(work);
         auto table = bench::make_hash_table(spec);
-        core::HcfEngine<bench::HashTable> engine(
-            *table, adapters::ht_paper_config(), adapters::kHtNumArrays);
-        for (std::size_t cls = 0; cls < engine.num_classes(); ++cls) {
-          core::PhasePolicy policy = engine.class_config(cls).policy;
-          policy.wait = variant.wait;
-          engine.set_class_policy(cls, policy);
-        }
+        auto classes = adapters::ht_paper_config();
+        for (auto& cc : classes) cc.policy.wait = variant.wait;
+        core::HcfEngine<bench::HashTable> engine(*table, std::move(classes),
+                                                 adapters::kHtNumArrays);
         return bench::run_ht(engine, spec, threads, opts.driver, 17, 7919);
       },
       layout);

@@ -10,7 +10,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "core/adaptive_hcf.hpp"
 #include "core/combine_core.hpp"
 #include "core/engine_stats.hpp"
 #include "core/fc_engine.hpp"

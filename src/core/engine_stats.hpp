@@ -18,8 +18,8 @@ using PerClassPhase = util::Shape<kMaxOpClasses, kNumPhases>;
 // group, JSON key).
 #define HCF_ENGINE_COUNTERS(X)                                               \
   X(PerClassPhase, completions, "by_class", "completions")                   \
-  /* Failed HTM attempts per class (any phase): the contention signal the */ \
-  /* adaptive controller consumes; completions alone hide retry storms. */   \
+  /* Failed HTM attempts per class (any phase): the contention signal */     \
+  /* that completions alone hide (retry storms). */                          \
   X(PerClass, attempt_failures, "by_class", "attempt_failures")              \
   /* Combining: times a thread became a combiner, ops combiners selected, */ \
   /* their run_multi calls, ops completed by a thread other than owner. */  \

@@ -8,7 +8,9 @@
 // Expressed on the shared phase machine: CombinerMode::UnderGlobalLock
 // with an fc_like policy (zero HTM budgets everywhere, announce on), so
 // the whole execution is the announce/wait/combine-under-lock path of
-// core/phase_exec.hpp + core/combine_core.hpp. The per-class policy and
+// core/phase_exec.hpp + core/combine_core.hpp. The combiner rescans the
+// publication array twice before releasing the lock (classic FC performs
+// several passes to pick up late arrivals). The per-class policy and
 // SelectionLock surface come with the shared core: classes with private
 // budgets speculate first, never-announcing classes degrade to Lock.
 #pragma once
@@ -29,15 +31,10 @@ class FcEngine
                             Lock, SelectionLock>;
 
  public:
-  // `scan_rounds`: how many times the combiner rescans the publication
-  // array before releasing the lock (classic FC performs several passes to
-  // pick up late arrivals).
-  explicit FcEngine(DS& ds, int scan_rounds = 2)
-      : Base(ds, uniform_classes(PhasePolicy::fc_like()), 1, scan_rounds) {}
-
-  FcEngine(DS& ds, std::vector<ClassConfig> classes,
-           std::size_t num_arrays = 1, int scan_rounds = 2)
-      : Base(ds, std::move(classes), num_arrays, scan_rounds) {}
+  explicit FcEngine(DS& ds, std::vector<ClassConfig> classes =
+                                uniform_classes(PhasePolicy::fc_like()),
+                    std::size_t num_arrays = 1)
+      : Base(ds, std::move(classes), num_arrays, /*scan_rounds=*/2) {}
 
   static std::string_view name() noexcept { return "FC"; }
 };

@@ -35,11 +35,10 @@
 // changes (§2.1).
 #pragma once
 
-#include <atomic>
 #include <cassert>
-#include <concepts>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/combine_core.hpp"
@@ -109,70 +108,11 @@ struct ClassConfig {
 // A uniform class table: every operation class runs `policy` against
 // publication array 0. The degenerate engines (TLE, FC, TLE+FC, Lock) are
 // single-policy by definition, but their class tables stay full-width so
-// any class_id executes — and set_class_policy can still specialize a
-// class afterwards.
+// any class_id executes.
 inline std::vector<ClassConfig> uniform_classes(const PhasePolicy& policy) {
   return std::vector<ClassConfig>(static_cast<std::size_t>(kMaxOpClasses),
                                   ClassConfig{0, policy});
 }
-
-namespace detail {
-
-// Atomically-updatable storage for a PhasePolicy. set_class_policy may
-// overwrite a class's policy while concurrent execute() calls read it (§2.4
-// dynamic customization), so the fields are independent relaxed atomics: a
-// reader snapshotting mid-update can observe a mix of old and new budgets,
-// which is harmless — the policy shapes trial budgets, never correctness.
-// These atomics are engine configuration, never touched inside a
-// transaction, so the TxCell/TxField funnel does not apply.
-class AtomicPolicy {
- public:
-  explicit AtomicPolicy(const PhasePolicy& p) noexcept { store(p); }
-  AtomicPolicy(const AtomicPolicy& other) noexcept { store(other.load()); }
-  AtomicPolicy& operator=(const AtomicPolicy& other) noexcept {
-    store(other.load());
-    return *this;
-  }
-
-  void store(const PhasePolicy& p) noexcept {
-    try_private_.store(p.try_private, std::memory_order_relaxed);
-    try_visible_.store(p.try_visible, std::memory_order_relaxed);
-    try_combining_.store(p.try_combining, std::memory_order_relaxed);
-    announce_.store(p.announce, std::memory_order_relaxed);
-    delegate_.store(p.delegate, std::memory_order_relaxed);
-    wait_.store(static_cast<std::uint8_t>(p.wait), std::memory_order_relaxed);
-  }
-  PhasePolicy load() const noexcept {
-    return {try_private_.load(std::memory_order_relaxed),
-            try_visible_.load(std::memory_order_relaxed),
-            try_combining_.load(std::memory_order_relaxed),
-            announce_.load(std::memory_order_relaxed),
-            delegate_.load(std::memory_order_relaxed),
-            static_cast<util::WaitPolicy>(
-                wait_.load(std::memory_order_relaxed))};
-  }
-
- private:
-  std::atomic<int> try_private_;    // lint:allow(raw-atomic-in-core)
-  std::atomic<int> try_visible_;    // lint:allow(raw-atomic-in-core)
-  std::atomic<int> try_combining_;  // lint:allow(raw-atomic-in-core)
-  std::atomic<bool> announce_;      // lint:allow(raw-atomic-in-core)
-  std::atomic<bool> delegate_;      // lint:allow(raw-atomic-in-core)
-  std::atomic<std::uint8_t> wait_;  // lint:allow(raw-atomic-in-core)
-};
-
-}  // namespace detail
-
-// The unified policy surface every phase-machine engine exposes: per-class
-// introspection plus live PhasePolicy updates. Controllers (the adaptive
-// engine, benches, tests) target this concept, not a concrete engine.
-template <typename E>
-concept PolicyConfigurable =
-    requires(E e, const E ce, std::size_t cls, const PhasePolicy& p) {
-      { ce.num_classes() } -> std::convertible_to<std::size_t>;
-      { ce.class_config(cls) } -> std::same_as<ClassConfig>;
-      e.set_class_policy(cls, p);
-    };
 
 // How (and whether) an engine combines:
 //
@@ -225,13 +165,11 @@ class PhaseMachine {
   // several passes to pick up late arrivals).
   PhaseMachine(DS& ds, std::vector<ClassConfig> classes,
                std::size_t num_arrays = 1, int scan_rounds = 1)
-      : ds_(ds), scan_rounds_(scan_rounds) {
-    assert(!classes.empty());
-    assert(classes.size() <= static_cast<std::size_t>(kMaxOpClasses));
-    classes_.reserve(classes.size());
-    for (const auto& c : classes) {
+      : ds_(ds), classes_(std::move(classes)), scan_rounds_(scan_rounds) {
+    assert(!classes_.empty());
+    assert(classes_.size() <= static_cast<std::size_t>(kMaxOpClasses));
+    for ([[maybe_unused]] const auto& c : classes_) {
       assert(c.array < num_arrays);
-      classes_.emplace_back(c);
     }
     arrays_.reserve(num_arrays);
     for (std::size_t i = 0; i < num_arrays; ++i) {
@@ -243,10 +181,8 @@ class PhaseMachine {
     mem::Guard ebr;
     op.prepare();
     assert(static_cast<std::size_t>(op.class_id()) < classes_.size());
-    const ClassSlot& cfg = classes_[static_cast<std::size_t>(op.class_id())];
-    // One policy snapshot per operation: set_class_policy may update the
-    // slot concurrently, and each phase should see a consistent budget.
-    const PhasePolicy policy = cfg.policy.load();
+    const ClassConfig& cfg = classes_[static_cast<std::size_t>(op.class_id())];
+    const PhasePolicy& policy = cfg.policy;
     PubArray& pa = *arrays_[cfg.array];
 
     // Telemetry hooks live here, between phases and outside every
@@ -287,10 +223,6 @@ class PhaseMachine {
   Lock& lock() noexcept { return lock_; }
   PubArray& publication_array(std::size_t i) noexcept { return *arrays_[i]; }
   std::size_t num_arrays() const noexcept { return arrays_.size(); }
-  std::size_t num_classes() const noexcept { return classes_.size(); }
-  ClassConfig class_config(std::size_t cls) const noexcept {
-    return {classes_[cls].array, classes_[cls].policy.load()};
-  }
 
   // Commutativity graph gating delegated-session admission (parallel
   // combining, core/delegation.hpp). Adapters seed the statically-known
@@ -299,17 +231,6 @@ class PhaseMachine {
   ConflictGraph& conflict_graph() noexcept { return graph_; }
   void seed_commutes(int a, int b, bool on = true) noexcept {
     graph_.seed(a, b, on);
-  }
-
-  // Dynamic reconfiguration (§2.4: "the customization may be dynamic").
-  // Configuration affects only performance, never correctness, so this may
-  // overlap with concurrent execute() calls: the policy fields are relaxed
-  // atomics (detail::AtomicPolicy), and a reader of a half-updated policy
-  // merely runs one operation with a hybrid trial budget. The publication
-  // array assignment is intentionally NOT changeable here — moving a class
-  // between arrays while its ops are announced would need a handshake.
-  void set_class_policy(std::size_t cls, const PhasePolicy& policy) noexcept {
-    classes_[cls].policy.store(policy);
   }
 
  private:
@@ -667,16 +588,8 @@ class PhaseMachine {
     stats_.record_completion(op.class_id(), phase);
   }
 
-  // Internal mirror of ClassConfig with an atomically-updatable policy.
-  struct ClassSlot {
-    explicit ClassSlot(const ClassConfig& c)
-        : array(c.array), policy(c.policy) {}
-    std::size_t array;
-    detail::AtomicPolicy policy;
-  };
-
   DS& ds_;
-  std::vector<ClassSlot> classes_;
+  std::vector<ClassConfig> classes_;  // fixed at construction
   std::vector<std::unique_ptr<PubArray>> arrays_;
   Lock lock_;
   EngineStats stats_;

@@ -35,12 +35,8 @@
 //
 // Invariants:
 //   * shard_of(op.shard_key()) is the only shard whose state op touches.
-//   * All-shard lock acquisition iterates shard indices ascending.
-//   * Policy updates broadcast per shard through the inner engine's
-//     detail::AtomicPolicy slots (field-wise atomic; a concurrent reader
-//     sees a consistent-enough hybrid for at most one operation, exactly
-//     as on the unsharded engine — §2.1: configuration cannot affect
-//     correctness).
+//   * All-shard lock acquisition iterates shard indices ascending, and
+//     every acquired lock is released on every exit, a throw included.
 #pragma once
 
 #include <bit>
@@ -75,7 +71,6 @@ class ShardedEngine {
   ShardedEngine(std::span<DS* const> shards, std::vector<ClassConfig> classes,
                 std::size_t num_arrays = 1) {
     assert(!shards.empty() && std::has_single_bit(shards.size()));
-    shard_bits_ = static_cast<unsigned>(std::countr_zero(shards.size()));
     shards_.reserve(shards.size());
     for (DS* ds : shards) {
       assert(ds != nullptr);
@@ -97,9 +92,7 @@ class ShardedEngine {
   }
 
   std::size_t shard_of(std::uint64_t shard_key) const noexcept {
-    return shard_bits_ == 0
-               ? 0
-               : static_cast<std::size_t>(shard_key >> (64 - shard_bits_));
+    return route(shard_key, num_shards());
   }
 
   // ---- the sharded fast path ------------------------------------------
@@ -117,7 +110,9 @@ class ShardedEngine {
   // Runs `f()` with every shard's data lock held: an atomic whole-structure
   // snapshot (see header comment for the linearization argument). `f` must
   // not execute operations through this engine (self-deadlock) and should
-  // read shard state via data(i)/shard(i).
+  // read shard state via data(i)/shard(i). If `f` throws, the locks are
+  // released before the exception leaves: a leaked shard lock would hang
+  // every later execute() on that shard.
   template <typename F>
   auto with_all_locked(F&& f) -> decltype(f()) {
     // Retired nodes a pre-lock reader may still publish must outlive the
@@ -125,16 +120,8 @@ class ShardedEngine {
     mem::Guard ebr;
     telemetry::cross_shard_begin(num_shards());
     lock_all_ascending();
-    if constexpr (std::is_void_v<decltype(f())>) {
-      f();
-      unlock_all();
-      telemetry::cross_shard_end(num_shards());
-    } else {
-      auto result = f();
-      unlock_all();
-      telemetry::cross_shard_end(num_shards());
-      return result;
-    }
+    const UnlockAllOnExit unlock{*this};
+    return f();
   }
 
   // Linearizable whole-structure size for structures exposing a sequential
@@ -174,30 +161,6 @@ class ShardedEngine {
     for (auto& shard : shards_) shard->reset_stats();
   }
 
-  // ---- policy surface (PolicyConfigurable pass-through) ---------------
-  // Broadcast to every shard; each inner engine stores through its
-  // detail::AtomicPolicy slot, so per-shard atomicity of a policy update
-  // is exactly the unsharded engine's guarantee. Ascending shard order
-  // (range-for) keeps the broadcast deterministic for tests.
-
-  std::size_t num_classes() const noexcept
-    requires PolicyConfigurable<Inner>
-  {
-    return shards_.front()->num_classes();
-  }
-
-  ClassConfig class_config(std::size_t cls) const noexcept
-    requires PolicyConfigurable<Inner>
-  {
-    return shards_.front()->class_config(cls);
-  }
-
-  void set_class_policy(std::size_t cls, const PhasePolicy& policy) noexcept
-    requires PolicyConfigurable<Inner>
-  {
-    for (auto& shard : shards_) shard->set_class_policy(cls, policy);
-  }
-
   // Commutativity seeding broadcast (parallel combining): each shard keeps
   // its own ConflictGraph — shards share no state, so a pair demoted by
   // one shard's abort storm stays delegable on the others.
@@ -234,8 +197,15 @@ class ShardedEngine {
     }
   }
 
+  struct UnlockAllOnExit {
+    ShardedEngine& engine;
+    ~UnlockAllOnExit() {
+      engine.unlock_all();
+      telemetry::cross_shard_end(engine.num_shards());
+    }
+  };
+
   std::vector<std::unique_ptr<Inner>> shards_;
-  unsigned shard_bits_ = 0;
 };
 
 }  // namespace hcf::core

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <string_view>
-#include <vector>
 
 #include "core/phase_exec.hpp"
 
@@ -33,10 +32,6 @@ class TleFcEngine
   explicit TleFcEngine(DS& ds, int budget = kDefaultHtmBudget)
       : Base(ds, uniform_classes(PhasePolicy{budget, 0, 0, true}), 1,
              /*scan_rounds=*/1) {}
-
-  TleFcEngine(DS& ds, std::vector<ClassConfig> classes,
-              std::size_t num_arrays = 1)
-      : Base(ds, std::move(classes), num_arrays, /*scan_rounds=*/1) {}
 
   static std::string_view name() noexcept { return "TLE+FC"; }
 };

@@ -236,7 +236,7 @@ class CAPABILITY("elidable_lock") FairTxLock {
   void reset_stats() noexcept { acquisitions_.reset(); }
 
   // Tickets issued but not yet served (holder included). Observability
-  // hook for tests and adaptive policies. 32-bit tickets wrap; the
+  // hook for tests. 32-bit tickets wrap; the
   // difference is taken modulo 2^32, which is exact for any realistic
   // in-flight count.
   std::uint64_t pending() const noexcept {

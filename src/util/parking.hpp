@@ -51,19 +51,9 @@ namespace hcf::util {
 // (parking costs a syscall round-trip that low-thread-count runs never
 // amortize).
 enum class WaitPolicy : std::uint8_t {
-  SpinOnly = 0,   // keep re-reading with the capped pause; never deschedule
-  SpinYield = 1,  // after the spin tier, sched_yield between re-reads
-  SpinPark = 2,   // after spinning and a few yields, futex-sleep on the word
+  SpinYield,  // after the spin tier, sched_yield between re-reads
+  SpinPark,   // after spinning and a few yields, futex-sleep on the word
 };
-
-inline const char* to_string(WaitPolicy p) noexcept {
-  switch (p) {
-    case WaitPolicy::SpinOnly: return "spin-only";
-    case WaitPolicy::SpinYield: return "spin-yield";
-    case WaitPolicy::SpinPark: return "spin-park";
-  }
-  return "?";
-}
 
 // Why park() returned.
 enum class ParkResult : std::uint8_t {
@@ -73,9 +63,8 @@ enum class ParkResult : std::uint8_t {
 
 // Global parking counters (a util/counters.hpp table): parks that reached
 // the kernel wait, wake calls that issued a syscall, parks that returned
-// with the word unchanged, and yield-tier sched_yield calls (the adaptive
-// wait-policy controller's oversubscription signal: a high yields-per-op
-// rate means waiters burn quanta that the combiner needs).
+// with the word unchanged, and yield-tier sched_yield calls (a high
+// yields-per-op rate means waiters burn quanta that the combiner needs).
 #define HCF_PARK_COUNTERS(X)                            \
   X(Scalar, parks, "park", "parks")                     \
   X(Scalar, wakes, "park", "wakes")                     \
@@ -292,9 +281,6 @@ class TieredWait {
       return false;
     }
     switch (policy_) {
-      case WaitPolicy::SpinOnly:
-        spin_for(tuning_.max_pause);
-        return false;
       case WaitPolicy::SpinYield:
         park_stats().yields.add();
         std::this_thread::yield();

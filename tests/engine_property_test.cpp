@@ -1,8 +1,13 @@
 // Parameterized property sweeps: operation accounting must reconcile for
-// every (engine, thread count, operation mix, key range) combination. This
-// is the broad-coverage net over the per-engine suites.
+// every (engine, thread count, operation mix, key range) combination, and
+// for HCF under every class policy of a fixed menu (§2.1: configuration
+// changes performance, never results). This is the broad-coverage net over
+// the per-engine suites.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,11 +25,18 @@ struct SweepParam {
   int threads;
   int find_pct;
   std::uint64_t key_range;
+  // Both hash-table classes run this policy; unset runs ht_paper_config().
+  std::optional<core::PhasePolicy> policy = std::nullopt;
 };
 
 std::ostream& operator<<(std::ostream& os, const SweepParam& p) {
-  return os << p.engine << "_t" << p.threads << "_f" << p.find_pct << "_k"
-            << p.key_range;
+  os << p.engine << "_t" << p.threads << "_f" << p.find_pct << "_k"
+     << p.key_range;
+  if (p.policy) {
+    os << "_p" << p.policy->try_private << "_" << p.policy->try_visible << "_"
+       << p.policy->try_combining << (p.policy->announce ? "_on" : "_off");
+  }
+  return os;
 }
 
 class EngineSweepTest : public ::testing::TestWithParam<SweepParam> {};
@@ -37,9 +49,12 @@ TEST_P(EngineSweepTest, AccountingReconciles) {
     table.insert(k, k * 2 + 1);
     initially_present[k] = true;
   }
+  auto classes = adapters::ht_paper_config();
+  if (p.policy) {
+    for (auto& cc : classes) cc.policy = *p.policy;
+  }
   core::visit_engine(
-      p.engine, table, adapters::ht_paper_config(), adapters::kHtNumArrays,
-      [&](auto& engine) {
+      p.engine, table, classes, adapters::kHtNumArrays, [&](auto& engine) {
         const int ops_per_thread = 24000 / p.threads;
         std::vector<std::vector<std::int64_t>> net(p.threads);
         std::vector<std::thread> threads;
@@ -102,17 +117,38 @@ std::vector<SweepParam> sweep_params() {
   return params;
 }
 
+// HCF with each policy fixed for both classes at construction: the paper's
+// default, combine-only, private-heavy, and flat combining.
+std::vector<SweepParam> policy_params() {
+  std::vector<SweepParam> params;
+  for (const core::PhasePolicy& policy :
+       {core::PhasePolicy::paper_default(), core::PhasePolicy{0, 0, 10, true},
+        core::PhasePolicy{8, 1, 1, true}, core::PhasePolicy::fc_like()}) {
+    for (int threads : {1, 2, 4}) {
+      for (int find_pct : {0, 40}) {
+        for (std::uint64_t range : {std::uint64_t{16}, std::uint64_t{1024}}) {
+          params.push_back({"HCF", threads, find_pct, range, policy});
+        }
+      }
+    }
+  }
+  return params;
+}
+
+std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
+  std::ostringstream os;
+  os << info.param;
+  std::string s = os.str();
+  for (char& c : s) {
+    if (c == '+' || c == '-') c = '_';
+  }
+  return s;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllEnginesMixesThreads, EngineSweepTest,
-                         ::testing::ValuesIn(sweep_params()),
-                         [](const auto& param_info) {
-                           std::ostringstream os;
-                           os << param_info.param;
-                           std::string s = os.str();
-                           for (char& c : s) {
-                             if (c == '+' || c == '-') c = '_';
-                           }
-                           return s;
-                         });
+                         ::testing::ValuesIn(sweep_params()), param_name);
+INSTANTIATE_TEST_SUITE_P(HcfPolicies, EngineSweepTest,
+                         ::testing::ValuesIn(policy_params()), param_name);
 
 }  // namespace
 }  // namespace hcf::test

@@ -107,11 +107,6 @@ TEST(TieredWait, SpinYieldNeverRequestsPark) {
   for (int i = 0; i < 1000; ++i) EXPECT_FALSE(waiter.wait());
 }
 
-TEST(TieredWait, SpinOnlyNeverRequestsPark) {
-  TieredWait waiter(WaitSite::kLockWord, WaitPolicy::SpinOnly);
-  for (int i = 0; i < 1000; ++i) EXPECT_FALSE(waiter.wait());
-}
-
 TEST(TieredWait, SpinParkEscalatesAfterSpinAndYieldTiers) {
   TieredWait waiter(WaitSite::kLockWord, WaitPolicy::SpinPark);
   int steps_before_park = 0;
@@ -304,46 +299,6 @@ TEST(OperationParking, MarkDoneWithoutParkedOwnerSkipsWake) {
   EXPECT_EQ(util::park_stats().wakes.total(), wakes_before);
 }
 
-// The end-to-end regression for live policy flips: threads hammer a
-// one-word structure through the full HCF engine while the main thread
-// flips the class policy between SpinYield and SpinPark. Waiters parked
-// under the old policy must still be woken under the new one (the wake
-// sites are policy-independent), and every operation must execute exactly
-// once.
-TEST(EnginePolicyFlip, SpinYieldToSpinParkUnderLoad) {
-  HotSpot ds;
-  HcfEngine<HotSpot> engine(ds, PhasePolicy::paper_default());
-  constexpr int kThreads = 4;
-  constexpr int kOps = 4000;
-  std::atomic<bool> stop_flipping{false};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      IncOp op;
-      for (int i = 0; i < kOps; ++i) engine.execute(op);
-    });
-  }
-  std::thread flipper([&] {
-    PhasePolicy yield = PhasePolicy::paper_default();
-    PhasePolicy parking = PhasePolicy::paper_default();
-    parking.wait = util::WaitPolicy::SpinPark;
-    bool parked = false;
-    while (!stop_flipping.load()) {
-      for (std::size_t cls = 0; cls < engine.num_classes(); ++cls) {
-        engine.set_class_policy(cls, parked ? yield : parking);
-      }
-      parked = !parked;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  for (auto& th : threads) th.join();
-  stop_flipping.store(true);
-  flipper.join();
-  EXPECT_EQ(ds.value.get(), static_cast<std::uint64_t>(kThreads) * kOps);
-  EXPECT_EQ(engine.class_config(0).policy.announce, true);
-  mem::EbrDomain::instance().drain();
-}
-
 // Pure-SpinPark engine run: all four wait families (lock word, selection
 // competition, op status, ticket queue via FairTxLock engines elsewhere)
 // exercise the park path at once. A lost wake anywhere hangs the test.
@@ -370,12 +325,9 @@ TEST(EnginePolicyFlip, AllSpinParkExactlyOnce) {
 // waiter loop plus the session-ending wake_all_epoch_waiters.
 TEST(EnginePolicyFlip, FlatCombiningSpinParkExactlyOnce) {
   HotSpot ds;
-  FcEngine<HotSpot> engine(ds);
   PhasePolicy policy = PhasePolicy::fc_like();
   policy.wait = util::WaitPolicy::SpinPark;
-  for (std::size_t cls = 0; cls < engine.num_classes(); ++cls) {
-    engine.set_class_policy(cls, policy);
-  }
+  FcEngine<HotSpot> engine(ds, uniform_classes(policy));
   constexpr int kThreads = 4;
   constexpr int kOps = 4000;
   std::vector<std::thread> threads;

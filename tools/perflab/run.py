@@ -42,7 +42,6 @@ TABLE_BENCHES = [
     "stack_elimination",
     "ablation_hcf_variants",
     "ablation_trials",
-    "ablation_adaptive",
 ]
 SUBSTRATE_BENCHES = ["micro_substrate", "micro_engine"]
 
