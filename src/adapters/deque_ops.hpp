@@ -39,12 +39,6 @@ class DequeOpBase : public core::Operation<ds::Deque<T>> {
 
   Kind kind() const noexcept { return kind_; }
 
-  // Parallel combining is intentionally off here (delegate_keyed stays at
-  // its false default): the two ends already run under *separate*
-  // publication arrays with separate combiners, so the disjoint work that
-  // delegation would carve out is never co-selected into one session in
-  // the first place — each end's batch is a single end-pointer hot spot.
-
   std::size_t run_multi(Dq& ds, std::span<Op*> ops) override {
     // Group same-kind ops to the front, then batch the prefix.
     const Kind lead = static_cast<DequeOpBase*>(ops[0])->kind();

@@ -59,19 +59,6 @@ class HtOpBase : public core::Operation<ds::HashTable<K, V>> {
     return util::mix64(static_cast<std::uint64_t>(key_));
   }
 
-  // Parallel-combining delegation (core/delegation.hpp): partition the
-  // hashed-bucket space into four contiguous ranges (top two bits of the
-  // same Fibonacci hash shard_key uses). Operations in different ranges
-  // touch disjoint buckets, so delegated groups speculate side by side
-  // without true data conflicts; the ranges nest inside shard ranges, so
-  // sharding composes with delegation. (Inserts still share the
-  // table-list head — HTM detects that, and the ConflictGraph demotes the
-  // pairing if it aborts too often; see ht_seed_commutes below.)
-  bool delegate_keyed() const override { return true; }
-  std::uint64_t delegate_key() const override {
-    return util::mix64(static_cast<std::uint64_t>(key_)) >> 62;
-  }
-
   // Synthetic critical-section work; see EXPERIMENTS.md. Hash-table
   // combining does not eliminate operations, so batches pay per-op work —
   // the batch still amortizes transactions and lock acquisitions.
@@ -196,32 +183,5 @@ inline std::vector<core::ClassConfig> ht_paper_config(
 }
 
 inline constexpr std::size_t kHtNumArrays = 2;
-
-// ht_paper_config plus parallel combining: both classes delegate disjoint
-// key-range groups to waiting clients (PhasePolicy::delegate). Find/Remove
-// keeps its TLE-like shape — it rarely announces, so it rarely combines,
-// but when a read-mostly batch does form its groups are delegable too.
-inline std::vector<core::ClassConfig> ht_delegate_config(
-    int tle_budget = core::kDefaultHtmBudget) {
-  auto classes = ht_paper_config(tle_budget);
-  for (auto& cc : classes) cc.policy.delegate = true;
-  return classes;
-}
-
-// Seeds the engine's ConflictGraph for the hash table. Seeding (a, b)
-// asserts "class-a and class-b operations under *different* delegate keys
-// do not conflict" — here the delegate-key ranges are disjoint bucket
-// ranges, so every class pairing qualifies: Find/Remove (class 0) and
-// Insert (class 1) in different ranges touch different buckets. Inserts do
-// share the table-list head, but that is a profitability question, not a
-// correctness one: HTM conflict detection still serializes true conflicts,
-// and the graph demotes (1,1) online if head contention makes delegated
-// insert groups abort past the threshold.
-template <typename Engine>
-void ht_seed_commutes(Engine& engine) {
-  engine.seed_commutes(kHtReadWriteClass, kHtReadWriteClass);
-  engine.seed_commutes(kHtReadWriteClass, kHtInsertClass);
-  engine.seed_commutes(kHtInsertClass, kHtInsertClass);
-}
 
 }  // namespace hcf::adapters

@@ -43,14 +43,6 @@ class StackOpBase : public core::Operation<ds::Stack<T>> {
     return kind_ == Kind::Push ? 0 : 1;
   }
 
-  // No parallel combining for the stack (override the delegate_keyed
-  // default, which would inherit combine_keyed): splitting a batch by
-  // push/pop kind would hand the delegates exactly the pairs elimination
-  // wants to cancel against each other, and every surviving group still
-  // hammers the one top-of-stack word — delegated groups would serialize
-  // on true conflicts with nothing disjoint to gain.
-  bool delegate_keyed() const override { return false; }
-
   std::size_t run_multi(St& ds, std::span<Op*> ops) override {
     // Partition pushes to the front.
     auto* begin = ops.data();

@@ -16,13 +16,11 @@
 // counter lands in every engine at the same time.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "core/delegation.hpp"
 #include "core/engine_stats.hpp"
 #include "core/operation.hpp"
 #include "core/publication_array.hpp"
@@ -55,19 +53,6 @@ struct CombineCore {
     return ops;
   }
 
-  // Separate arena for applying a delegated group: a delegate claims and
-  // applies while its own combining-session state (scratch) may be live,
-  // and the fallback combiner applies unclaimed groups while its session
-  // batch still owns scratch.
-  static std::vector<Op*>& delegate_scratch() {
-    thread_local std::vector<Op*> ops = [] {
-      std::vector<Op*> v;
-      v.reserve(util::kMaxThreads);
-      return v;
-    }();
-    return ops;
-  }
-
   // Compete for the array's selection lock *while watching our own
   // status*: if a combiner selects us in the meantime we never need the
   // lock — we just wait for Done. Blocking unconditionally on the lock
@@ -87,21 +72,16 @@ struct CombineCore {
   // calls pa.wake_epoch_waiters() (the lock may now be free to take).
   //
   // Returns true with the selection lock held, or false once the op is
-  // Done (helped by another combiner). `await` is the caller's terminal
-  // wait: invoked once the op has been selected, it must not return until
-  // the op is Done — engines that delegate pass an awaiter that can also
-  // claim and apply a delegated group (PhaseMachine::await_done) instead of
-  // plain wait_done.
-  template <typename AwaitDone>
+  // Done (helped by another combiner): once the op has been selected it
+  // waits for Done on the op's own status word.
   static bool acquire_selection_or_done(Op& op, PubArray& pa,
-                                        util::WaitPolicy wait,
-                                        AwaitDone&& await)
+                                        util::WaitPolicy wait)
       TRY_ACQUIRE(true, pa.selection_lock()) {
     util::TieredWait waiter(util::WaitSite::kSelectionLock, wait);
     std::uint32_t epoch = pa.combined_epoch();
     for (;;) {
       if (op.status() != OpStatus::Announced) {
-        await();
+        op.wait_done(wait);
         return false;
       }
       const std::uint32_t now = pa.combined_epoch();
@@ -167,22 +147,13 @@ struct CombineCore {
   // prefix. Stops after `budget` failed attempts (capacity aborts stop
   // immediately — they repeat deterministically). Returns true iff nothing
   // is left for the under-lock fallback.
-  //
-  // When a delegating session is in flight, `graph`/`session_classes`
-  // feed the commutativity graph's online refinement: the first conflict
-  // abort of the call charges the admitted class pairs (enough charged
-  // applies demotes the pair), committed rounds decay them. Performance
-  // feedback only — the abort itself already preserved correctness.
   static bool combine_on_htm(Lock& lock, DS& ds, Op& op, PubArray& pa,
                              std::vector<Op*>& ops, int budget,
                              EngineStats& stats,
-                             util::WaitPolicy wait = util::WaitPolicy::SpinYield,
-                             ConflictGraph* graph = nullptr,
-                             std::uint32_t session_classes = 0) {
+                             util::WaitPolicy wait = util::WaitPolicy::SpinYield) {
     util::ExpBackoff backoff(
         util::backoff_seed(util::BackoffSite::kPhaseCombining));
     int failures = 0;
-    bool charged = false;
     while (failures < budget && !ops.empty()) {
       lock.wait_until_free(wait);
       std::size_t executed = 0;
@@ -193,28 +164,12 @@ struct CombineCore {
       if (committed) {
         assert(executed >= 1 && executed <= ops.size());
         stats.combine_rounds.add();
-        if (graph != nullptr) graph->record_clean(session_classes);
         retire_prefix(op, pa, ops, executed, Phase::Combining, stats);
       } else {
         ++failures;
         stats.record_attempt_failure(op.class_id());
         if (htm::last_abort_code() == htm::AbortCode::Capacity) break;
-        if (htm::last_abort_code() == htm::AbortCode::Conflict) {
-          if (graph != nullptr) {
-            stats.delegate_conflict_aborts.add();
-            // Charge the pair at most once per group apply, not once per
-            // abort: a retry loop burning its whole budget against one
-            // transient conflict would otherwise demote a seeded pair in
-            // ~kDemoteConflicts/budget applies. A genuinely non-commuting
-            // pair still demotes — it charges on every apply and its
-            // committed-round decay never keeps pace.
-            if (!charged) {
-              graph->record_conflict(session_classes, session_classes);
-              charged = true;
-            }
-          }
-          backoff.pause();
-        }
+        if (htm::last_abort_code() == htm::AbortCode::Conflict) backoff.pause();
       }
     }
     return ops.empty();
@@ -232,170 +187,6 @@ struct CombineCore {
       assert(executed >= 1 && executed <= ops.size());
       stats.combine_rounds.add();
       retire_prefix(op, pa, ops, executed, Phase::UnderLock, stats);
-    }
-  }
-
-  // ---- parallel combining (core/delegation.hpp, DESIGN.md §13) ----------
-
-  static std::uint32_t class_bit(const Op* op) noexcept {
-    return 1u << (static_cast<unsigned>(op->class_id()) %
-                  static_cast<unsigned>(kMaxOpClasses));
-  }
-
-  // Carve delegable key-groups out of a freshly selected batch and publish
-  // them for waiting clients. Runs after selection, with NO lock held (in
-  // Multi mode the selection lock is already released): every op in the
-  // batch is BeingHelped, so owners are waiting, not speculating.
-  //
-  // A group is a maximal run of equal delegate_key() after sorting; it is
-  // delegated iff it does not contain the combiner's own op (the combiner
-  // must not wait on itself), meets kMinDelegateGroupSize, the graph admits
-  // its class mask against the whole batch (delegates run concurrently
-  // with every other group and with the combiner's serial remainder), and
-  // the session arena has room. Delegated ops are copied into `session`
-  // (combiner stack storage) and removed from `batch`; the group's first op
-  // becomes the assignee and flips to Delegated, waking its parked owner.
-  static void delegate_batch(Op& own, std::vector<Op*>& batch,
-                             DelegationSession<DS>& session,
-                             ConflictGraph& graph, EngineStats& stats) {
-    if (batch.size() < kMinDelegateBatch || !own.delegate_keyed()) return;
-    // Tick the re-probe clock on every delegation-eligible session, not
-    // just the ones that publish groups: a demoted pair suppresses
-    // publication, and if only publishing sessions advanced the clock a
-    // single demotion would freeze it and never re-probe.
-    graph.on_session();
-    std::sort(batch.begin(), batch.end(), [](const Op* a, const Op* b) {
-      return a->delegate_key() < b->delegate_key();
-    });
-    std::uint32_t batch_mask = 0;
-    for (const Op* op : batch) batch_mask |= class_bit(op);
-    std::size_t write = 0;
-    std::size_t groups = 0;
-    std::size_t delegated = 0;
-    std::size_t i = 0;
-    while (i < batch.size()) {
-      const std::uint64_t key = batch[i]->delegate_key();
-      std::uint32_t group_mask = 0;
-      bool has_own = false;
-      std::size_t j = i;
-      for (; j < batch.size() && batch[j]->delegate_key() == key; ++j) {
-        group_mask |= class_bit(batch[j]);
-        has_own |= (batch[j] == &own);
-      }
-      const std::size_t size = j - i;
-      DelegateGroup<DS>* group = nullptr;
-      if (!has_own && size >= kMinDelegateGroupSize &&
-          graph.masks_commute(group_mask, batch_mask)) {
-        group = session.add_group(batch.data() + i,
-                                  static_cast<std::uint32_t>(size),
-                                  group_mask);
-      }
-      if (group != nullptr) {
-        // Publish last: the assignee's owner may claim and read the group
-        // the instant this store lands.
-        group->ops[0]->mark_delegated(group);
-        ++groups;
-        delegated += size;
-      } else {
-        for (std::size_t k = i; k < j; ++k) batch[write++] = batch[k];
-      }
-      i = j;
-    }
-    if (groups == 0) return;
-    batch.resize(write);
-    stats.delegated_groups.add(groups);
-    stats.delegated_ops.add(delegated);
-    telemetry::delegate_groups(groups, delegated);
-  }
-
-  // Apply one delegated group — called by the claim winner, either the
-  // assignee's owner (delegate) or the sweeping combiner (fallback). The
-  // caller must have won assignee.claim_delegation(). Copies the group out
-  // of session storage first, signals the group's done word last; between
-  // those two points it holds no reference the combiner could outlive.
-  // This function must never touch the selection lock (lint rule
-  // delegated-apply-no-selection-lock): the delegating combiner released
-  // it before publishing, and a delegate re-entering selection while its
-  // combiner parks on the group would invert the wait order.
-  static void apply_delegated_group(Lock& lock, DS& ds, Op& assignee,
-                                    PubArray& pa, ConflictGraph& graph,
-                                    EngineStats& stats, util::WaitPolicy wait,
-                                    bool by_delegate) {
-    DelegateGroup<DS>* group = assignee.delegate_group();
-    assert(group != nullptr && group->count >= 1);
-    std::vector<Op*>& ops = delegate_scratch();
-    ops.assign(group->ops, group->ops + group->count);
-    const std::uint32_t classes = group->classes;
-    if (by_delegate) {
-      stats.delegate_applies.add();
-    } else {
-      stats.delegate_fallbacks.add();
-    }
-    telemetry::delegate_apply(by_delegate, ops.size());
-    // Charge the commutativity graph only on the delegate path: a delegate
-    // applies concurrently with the combiner's serial remainder and any
-    // sibling delegates, so its conflict aborts are evidence the admitted
-    // class pairs do not commute. The fallback sweep runs after the
-    // combiner's own batch, one group at a time — its aborts come from
-    // ambient speculation (preemption, unrelated phase-1/2 attempts) and
-    // say nothing about group-vs-group commutativity; charging them would
-    // demote seeded pairs in exactly the oversubscribed regime delegation
-    // targets.
-    ConflictGraph* feedback = by_delegate ? &graph : nullptr;
-    if (!combine_on_htm(lock, ds, assignee, pa, ops, kDelegateHtmBudget,
-                        stats, wait, feedback, classes)) {
-      combine_under_lock(lock, ds, assignee, pa, ops, stats, wait);
-    }
-    // The group's retires ran on behalf of foreign owners: each node freed
-    // by run_multi routed toward its allocation-time owner's pool (the ops'
-    // owner_slot() tags name the announcing threads), batched in this
-    // thread's outbound bins. Push them to the owners' inboxes now — one
-    // CAS per destination pool — so a delegated apply frees remotely as
-    // part of the group, not whenever the bins next hit capacity.
-    mem::flush_remote_frees();
-    // Every op in the group is Done and the epoch advanced (retire_prefix
-    // inside the combiners above). Release the group back to the combiner;
-    // after this store the session stack frame may die.
-    group->finish();
-  }
-
-  // End-of-session sweep, combiner side: every published group must be
-  // fully applied before the session's stack storage goes away. For each
-  // group, race the delegate for the claim — winning means the delegate
-  // never showed (descheduled, parked, or its owner crashed mid-wait) and
-  // the combiner applies the group serially, so progress never depends on
-  // a delegate. Losing means the delegate owns the apply; park on the
-  // group's done word (its finish() wakes us).
-  static void finish_delegation(Lock& lock, DS& ds, PubArray& pa,
-                                DelegationSession<DS>& session,
-                                ConflictGraph& graph, EngineStats& stats,
-                                util::WaitPolicy wait) {
-    for (std::size_t i = 0; i < session.num_groups(); ++i) {
-      DelegateGroup<DS>& group = session.group(i);
-      Op* assignee = group.ops[0];
-      if (assignee->claim_delegation()) {
-        apply_delegated_group(lock, ds, *assignee, pa, graph, stats, wait,
-                              /*by_delegate=*/false);
-        continue;
-      }
-      constexpr std::uint32_t kParked = DelegateGroup<DS>::kParkedBit;
-      util::TieredWait waiter(util::WaitSite::kOpStatus, wait);
-      for (;;) {
-        const std::uint32_t raw = group.done.load(std::memory_order_acquire);
-        if ((raw & ~kParked) != 0) break;
-        if (!waiter.wait()) continue;
-        std::uint32_t expected = raw;
-        if ((expected & kParked) == 0) {
-          if (!group.done.compare_exchange_strong(
-                  expected, expected | kParked, std::memory_order_acq_rel,
-                  std::memory_order_acquire)) {
-            continue;
-          }
-          expected |= kParked;
-        }
-        util::park(group.done, expected);
-        waiter.reset();
-      }
     }
   }
 

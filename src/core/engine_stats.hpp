@@ -32,9 +32,14 @@ using PerClassPhase = util::Shape<kMaxOpClasses, kNumPhases>;
   X(util::Scalar, scan_words_skipped, "selection", "scan_words_skipped")     \
   X(util::Scalar, batch_groups, "selection", "batch_groups")                 \
   X(util::Scalar, batch_group_sizes, "selection", "batch_group_sizes")       \
-  /* Parallel combining (DESIGN.md §13): groups and ops published for */    \
-  /* delegates, groups applied by their delegate, unclaimed groups the */    \
-  /* combiner applied, HTM conflicts in delegated runs. */                   \
+  /* Nothing increments the delegation group: parallel combining is */       \
+  /* deleted (DESIGN.md §13). perfbench reads delegated_ops for its */       \
+  /* core.delegated_ops_frac metric. The other four rows keep */             \
+  /* EngineStats at its old size: 32 KB less moves perfbench's */            \
+  /* ht_update engine under glibc's heap-trim threshold, and every */        \
+  /* set-up then re-faults the engine (66 page faults, about +25 % */        \
+  /* setup_s). All five go with that metric, once perfbench set-up */        \
+  /* no longer depends on the trim threshold (ROADMAP item 8). */            \
   X(util::Scalar, delegated_groups, "delegation", "groups")                  \
   X(util::Scalar, delegated_ops, "delegation", "ops")                        \
   X(util::Scalar, delegate_applies, "delegation", "delegate_applies")        \

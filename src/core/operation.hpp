@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <span>
 
-#include "core/delegation.hpp"
 #include "core/types.hpp"
 #include "sim_htm/txcell.hpp"
 #include "util/cacheline.hpp"
@@ -75,20 +74,6 @@ class Operation {
   virtual bool combine_keyed() const { return false; }
   virtual std::uint64_t combine_key() const { return 0; }
 
-  // Delegation grouping hook (core/delegation.hpp): when delegate_keyed()
-  // is true and the class policy enables delegation, the combiner
-  // partitions the selected batch into runs of equal delegate_key() and
-  // hands whole runs back to waiting clients to apply in parallel. Two
-  // operations with the same delegate_key must be safe to apply in one
-  // run_multi call (they are — that is run_multi's existing contract); two
-  // *different* keys are only applied concurrently if the engine's
-  // ConflictGraph says their classes commute. Defaults to the combine key
-  // so keyed adapters delegate along their existing grouping; adapters
-  // whose combine key is too fine (e.g. hash tables grouping per bucket)
-  // override with a coarser partition.
-  virtual bool delegate_keyed() const { return combine_keyed(); }
-  virtual std::uint64_t delegate_key() const { return combine_key(); }
-
   // Sharding hook (core/sharded_engine.hpp): a well-mixed 64-bit hash of
   // the operation's target; the sharded meta-engine selects a shard from
   // its high bits. Any two operations that may touch the same state must
@@ -103,27 +88,24 @@ class Operation {
   int class_id() const noexcept { return class_id_; }
 
   // Resets the descriptor for a fresh execution. Called by the owner once
-  // its previous execution is Done. A delegating combiner's fallback sweep
-  // may still load and CAS the status of a group's assignee after the
-  // delegate finished the group and the owner moved on (DESIGN.md §13.1),
-  // so the reset is an atomic store, not a plain init.
+  // its previous execution is Done; a combiner that completed it made its
+  // last access to the descriptor in mark_done.
   void prepare() noexcept {
     // plain: only the owner speculates on its op's status, and it is not
     // in a transaction between executions.
     status_.store_plain(static_cast<std::uint32_t>(OpStatus::UnAnnounced));
     completed_phase_ = Phase::Private;
     owner_slot_ = util::this_thread_id();
-    delegate_group_.store(nullptr, std::memory_order_relaxed);
   }
 
   // Reclamation ownership tag (mem/pool.hpp): the pool slot of the thread
-  // that announced this operation. A combiner or delegate running this
-  // op's retires frees nodes whose block headers name their allocation-
-  // time owners — often this slot — and the mem:: facade routes each such
-  // free to the owner's remote inbox rather than the applier's limbo. The
-  // tag marks the op as carrying foreign-pool traffic, so session code
-  // batch-flushes outbound bins once per group/session
-  // (mem::flush_remote_frees) instead of per node.
+  // that announced this operation. A combiner running this op's retires
+  // frees nodes whose block headers name their allocation-time owners —
+  // often this slot — and the mem:: facade routes each such free to the
+  // owner's remote inbox rather than the applier's limbo. The tag marks the
+  // op as carrying foreign-pool traffic, so session code batch-flushes
+  // outbound bins once per session (mem::flush_remote_frees) instead of
+  // per node.
   std::size_t owner_slot() const noexcept { return owner_slot_; }
 
   OpStatus status() const noexcept {
@@ -204,77 +186,6 @@ class Operation {
     }
   }
 
-  // ---- delegation protocol (core/delegation.hpp, DESIGN.md §13) ----
-
-  // Combiner side: publish a delegated group with this op as its assignee.
-  // Requires status == BeingHelped (the op was selected, so the owner's
-  // speculation is already doomed — a plain exchange suffices). The group
-  // pointer is released *before* the status flips so a claimant's acquire
-  // of the status word makes the pointer visible. If the owner already
-  // parked (BeingHelped | parked), wake it: the whole point is for the
-  // owner to pick the group up.
-  void mark_delegated(DelegateGroup<DS>* group) noexcept {
-    assert(status() == OpStatus::BeingHelped);
-    delegate_group_.store(group, std::memory_order_release);
-    // plain: the op is BeingHelped, so its owner's speculation on the
-    // status was doomed when it was selected.
-    const std::uint32_t old = status_.exchange_plain(
-        static_cast<std::uint32_t>(OpStatus::Delegated));
-    if ((old & kParkedBit) != 0) util::wake_all(status_.wait_address());
-  }
-
-  // Claim the delegated group: exactly one caller (the woken owner or the
-  // combiner's fallback sweep) wins the Delegated -> BeingHelped CAS and
-  // owns the apply. The CAS is strong (dooming) which is harmless — nobody
-  // speculates on a Delegated op — and it preserves a parked bit a
-  // concurrent plain wait_done may have published. Returns false once the
-  // status has left Delegated (someone else won).
-  bool claim_delegation() noexcept {
-    std::uint32_t raw = status_.load();
-    while ((raw & kStatusMask) ==
-           static_cast<std::uint32_t>(OpStatus::Delegated)) {
-      const std::uint32_t next =
-          (raw & kParkedBit) |
-          static_cast<std::uint32_t>(OpStatus::BeingHelped);
-      if (status_.cas(raw, next)) return true;
-      raw = status_.load();
-    }
-    return false;
-  }
-
-  // Valid after winning claim_delegation() (the claim's acquire pairs with
-  // mark_delegated's release); the pointer targets the delegating
-  // combiner's stack and must not be touched after the group's done word
-  // is set (DelegateGroup::finish is the claimant's last access).
-  DelegateGroup<DS>* delegate_group() const noexcept {
-    return delegate_group_.load(std::memory_order_acquire);
-  }
-
-  // wait_done variant for owners whose engine delegates: returns Done as
-  // usual, but also returns (without parking) on Delegated so the caller
-  // can try to claim the group and apply it itself. Never parks on a
-  // Delegated word — the claim attempt is the next step, not a sleep.
-  OpStatus wait_done_or_delegated(
-      util::WaitPolicy wait = util::WaitPolicy::SpinYield) const noexcept {
-    util::TieredWait waiter(util::WaitSite::kOpStatus, wait);
-    for (;;) {
-      const std::uint32_t raw = status_.load();
-      const std::uint32_t s = raw & kStatusMask;
-      if (s == static_cast<std::uint32_t>(OpStatus::Done) ||
-          s == static_cast<std::uint32_t>(OpStatus::Delegated)) {
-        return static_cast<OpStatus>(s);
-      }
-      if (!waiter.wait()) continue;
-      std::uint32_t expected = raw;
-      if ((expected & kParkedBit) == 0) {
-        if (!status_.cas(expected, expected | kParkedBit)) continue;
-        expected |= kParkedBit;
-      }
-      util::park(status_.wait_address(), expected);
-      waiter.reset();
-    }
-  }
-
   // ---- visible-attempt gate (DESIGN.md §7.4) ----
   // The owner's visible attempt runs run_seq, whose writes to this
   // descriptor's own fields (results) are plain stores, not buffered
@@ -306,12 +217,10 @@ class Operation {
  private:
   // The status word's MSB marks "the owner is parked on this word"; the
   // low bits hold the OpStatus. The bit can only be set while the status
-  // is BeingHelped (wait_done and wait_done_or_delegated are only reached
-  // after a combiner selected the op, neither parks on Done or Delegated,
-  // and the CAS above fails against any concurrent transition). The later
-  // writers all handle it atomically: mark_done and mark_delegated observe
-  // it through their exchange and wake, claim_delegation's CAS preserves
-  // it. status()/status_tx() mask it out.
+  // is BeingHelped (wait_done is only reached after a combiner selected the
+  // op, never parks on Done, and its CAS fails against any concurrent
+  // transition). mark_done observes it through its exchange and wakes.
+  // status()/status_tx() mask it out.
   static constexpr std::uint32_t kParkedBit = 0x8000'0000u;
   static constexpr std::uint32_t kStatusMask = ~kParkedBit;
 
@@ -320,10 +229,6 @@ class Operation {
       static_cast<std::uint32_t>(OpStatus::UnAnnounced)};
   Phase completed_phase_ = Phase::Private;
   std::size_t owner_slot_ = 0;
-  // Delegation slot: written by the delegating combiner (mark_delegated),
-  // read by the claim winner. Raw atomic — never accessed transactionally.
-  std::atomic<DelegateGroup<DS>*> delegate_group_{
-      nullptr};  // lint:allow(raw-atomic-in-core)
   // Visible-attempt gate: written by the owner, read by selecting
   // combiners. Raw atomic — never accessed transactionally.
   std::atomic<bool> visible_attempt_{false};  // lint:allow(raw-atomic-in-core)

@@ -70,14 +70,6 @@ struct PhasePolicy {
   int try_visible = 3;
   int try_combining = 5;
   bool announce = true;
-  // Parallel combining (core/delegation.hpp): a combiner of this class
-  // hands disjoint delegate-key groups of its selected batch back to
-  // waiting clients instead of applying everything itself. Multi-mode
-  // engines only; requires the adapter to be delegate_keyed and the
-  // engine's ConflictGraph to be seeded (seed_commutes) for the class
-  // pairs that may run concurrently. Off by default: the handshake only
-  // pays once batches are deep, and the graph decides per session.
-  bool delegate = false;
   // How this class's threads wait — on the data-structure lock, the
   // selection-lock competition, and their own op status (DESIGN.md §12).
   // SpinYield is the paper-faithful default; SpinPark escalates to futex
@@ -222,16 +214,6 @@ class PhaseMachine {
   DS& data() noexcept { return ds_; }
   Lock& lock() noexcept { return lock_; }
   PubArray& publication_array(std::size_t i) noexcept { return *arrays_[i]; }
-  std::size_t num_arrays() const noexcept { return arrays_.size(); }
-
-  // Commutativity graph gating delegated-session admission (parallel
-  // combining, core/delegation.hpp). Adapters seed the statically-known
-  // commuting class pairs at engine setup; the graph refines itself online
-  // from HTM conflict aborts observed while delegated sessions run.
-  ConflictGraph& conflict_graph() noexcept { return graph_; }
-  void seed_commutes(int a, int b, bool on = true) noexcept {
-    graph_.seed(a, b, on);
-  }
 
  private:
   // ---- Phase 1 -------------------------------------------------------
@@ -263,10 +245,9 @@ class PhaseMachine {
     util::ExpBackoff backoff(
         util::backoff_seed(util::BackoffSite::kPhaseVisible));
     for (int attempt = 0; attempt < policy.try_visible; ++attempt) {
-      // A combiner may have selected (and completed) us already — or
-      // delegated a group to us (await_done claims and applies it).
+      // A combiner may have selected (and completed) us already.
       if (op.status() != OpStatus::Announced) {
-        await_done(op, pa, policy.wait);
+        op.wait_done(policy.wait);
         return true;
       }
       lock_.wait_until_free(policy.wait);
@@ -327,17 +308,13 @@ class PhaseMachine {
 
     std::vector<Op*>& ops_to_help = Core::scratch();
     ops_to_help.clear();
-    // Delegated-group storage for this combining session lives on this
-    // frame: finish_delegation below must drain every published group
-    // before the frame (and the groups' done words) goes away.
-    DelegationSession<DS> session;
     std::size_t session_ops = 0;
     SelectionHold selection{pa};
     bool done_combining;
     if (policy.announce || policy.try_combining > 0) {
       telemetry::phase_enter(static_cast<int>(Phase::Combining));
-      done_combining = try_combining(op, pa, policy, ops_to_help, session,
-                                     session_ops, selection);
+      done_combining =
+          try_combining(op, pa, policy, ops_to_help, session_ops, selection);
       telemetry::phase_exit(static_cast<int>(Phase::Combining),
                             done_combining);
     } else {
@@ -352,16 +329,8 @@ class PhaseMachine {
                                policy.wait);
       telemetry::phase_exit(static_cast<int>(Phase::UnderLock), true);
     }
-    // Delegated groups are part of this session: sweep unclaimed ones
-    // (serial fallback) and wait out claimed ones before the session's
-    // stack storage dies. Runs with no lock held.
-    if (session.num_groups() != 0) {
-      Core::finish_delegation(lock_, ds_, pa, session, graph_, stats_,
-                              policy.wait);
-    }
     // A combining session (if one started) is over once every selected op
-    // has been applied — by us, speculatively or under the lock, or by the
-    // delegates we just waited for.
+    // has been applied, speculatively or under the lock.
     if (session_ops != 0) telemetry::combine_end(session_ops);
     // Session-boundary reclamation flush: retires run on the helped
     // owners' behalf (their ops' owner_slot() pools) were batched into
@@ -417,15 +386,10 @@ class PhaseMachine {
   // PublicationArray.
   NO_THREAD_SAFETY_ANALYSIS
   bool try_combining(Op& op, PubArray& pa, const PhasePolicy& policy,
-                     std::vector<Op*>& ops_to_help,
-                     DelegationSession<DS>& session, std::size_t& session_ops,
+                     std::vector<Op*>& ops_to_help, std::size_t& session_ops,
                      SelectionHold& selection) {
     if (policy.announce) {
-      if (!Core::acquire_selection_or_done(
-              op, pa, policy.wait,
-              [&] { await_done(op, pa, policy.wait); })) {
-        return true;
-      }
+      if (!Core::acquire_selection_or_done(op, pa, policy.wait)) return true;
       telemetry::sel_lock_acquired();
       if (op.status() != OpStatus::Announced) {
         // Selected between our last check and the lock acquisition; the
@@ -433,7 +397,7 @@ class PhaseMachine {
         pa.selection_lock().unlock();
         pa.wake_epoch_waiters();  // liveness, see SelectionHold
         telemetry::sel_lock_released();
-        await_done(op, pa, policy.wait);
+        op.wait_done(policy.wait);
         return true;
       }
       Core::template select_batch<EP::kMarkBeingHelped>(op, pa, ops_to_help,
@@ -457,17 +421,6 @@ class PhaseMachine {
       stats_.ops_selected.add(ops_to_help.size());
       session_ops = ops_to_help.size();
       telemetry::combine_begin(session_ops);
-      // Parallel combining: hand disjoint key-groups of the batch back to
-      // their waiting owners (Multi only — delegation needs owners parked
-      // in wait_done rather than doomed by a held selection lock). The
-      // admitted groups leave ops_to_help; we apply the remainder below,
-      // concurrently with the delegates, and sweep stragglers in
-      // finish_delegation (visible_then_combine).
-      if constexpr (kMode == CombinerMode::Multi) {
-        if (policy.delegate) {
-          Core::delegate_batch(op, ops_to_help, session, graph_, stats_);
-        }
-      }
     } else {
       // Never-announced (TLE-like) class: we "combine" only our own op.
       // SingleHolder retries it holding the selection lock, which no
@@ -559,30 +512,6 @@ class PhaseMachine {
     ~EpochWakeOnExit() { machine.wake_all_epoch_waiters(); }
   };
 
-  // Terminal wait once a combiner selected our op: in Multi mode a
-  // combiner may also *delegate* a group to us — claim it (exactly one
-  // winner against the combiner's fallback sweep) and apply it ourselves,
-  // which completes our own op as part of the group. Losing the claim
-  // means the fallback combiner owns the apply; go back to waiting for
-  // Done. Other modes never delegate, so plain wait_done suffices.
-  void await_done(Op& op, PubArray& pa, util::WaitPolicy wait) {
-    if constexpr (kMode == CombinerMode::Multi) {
-      for (;;) {
-        const OpStatus s = op.wait_done_or_delegated(wait);
-        if (s == OpStatus::Done) return;
-        if (op.claim_delegation()) {
-          Core::apply_delegated_group(lock_, ds_, op, pa, graph_, stats_,
-                                      wait, /*by_delegate=*/true);
-          assert(op.status() == OpStatus::Done);
-          return;
-        }
-      }
-    } else {
-      (void)pa;
-      op.wait_done(wait);
-    }
-  }
-
   void complete(Op& op, Phase phase) {
     op.mark_done(phase);
     stats_.record_completion(op.class_id(), phase);
@@ -593,7 +522,6 @@ class PhaseMachine {
   std::vector<std::unique_ptr<PubArray>> arrays_;
   Lock lock_;
   EngineStats stats_;
-  ConflictGraph graph_;
   int scan_rounds_;
 };
 

@@ -161,15 +161,6 @@ class ShardedEngine {
     for (auto& shard : shards_) shard->reset_stats();
   }
 
-  // Commutativity seeding broadcast (parallel combining): each shard keeps
-  // its own ConflictGraph — shards share no state, so a pair demoted by
-  // one shard's abort storm stays delegable on the others.
-  void seed_commutes(int a, int b, bool on = true) noexcept
-    requires requires(Inner& e) { e.seed_commutes(a, b, on); }
-  {
-    for (auto& shard : shards_) shard->seed_commutes(a, b, on);
-  }
-
   // ---- introspection --------------------------------------------------
 
   std::size_t num_shards() const noexcept { return shards_.size(); }

@@ -11,8 +11,6 @@ enum class OpStatus : std::uint32_t {
   Announced = 1,    // published in a publication array
   BeingHelped = 2,  // selected by a combiner
   Done = 3,         // applied; result available
-  Delegated = 4,    // group assignee: a combiner published a delegated batch
-                    // for the owner to claim and apply (core/delegation.hpp)
 };
 
 // Which phase completed an operation (paper Fig. 3). Engines other than HCF
@@ -43,7 +41,6 @@ inline const char* to_string(OpStatus s) noexcept {
     case OpStatus::Announced: return "Announced";
     case OpStatus::BeingHelped: return "BeingHelped";
     case OpStatus::Done: return "Done";
-    case OpStatus::Delegated: return "Delegated";
   }
   return "?";
 }

@@ -26,16 +26,13 @@ enum class EventType : std::uint8_t {
   Park = 13,             // thread entered a kernel wait (futex/parking lot)
   Unpark = 14,  // thread left a kernel wait; code = 1 iff spurious,
                 // arg = time parked (ns, saturated at u32)
-  Delegate = 15,       // code = groups published; arg = ops delegated
-  DelegateApply = 16,  // code = 1 iff applied by the delegate (0 = the
-                       // combiner's serial fallback); arg = ops in group
-  RemoteRetire = 17,   // code = destination pool slot; arg = blocks flushed
+  RemoteRetire = 15,   // code = destination pool slot; arg = blocks flushed
                        // to that owner's MPSC inbox in one CAS
-  RemoteDrain = 18,    // arg = blocks an owner moved out of its inbox
+  RemoteDrain = 16,    // arg = blocks an owner moved out of its inbox
                        // (free lists + epoch-stamped limbo batch)
 };
 
-inline constexpr int kNumEventTypes = 19;
+inline constexpr int kNumEventTypes = 17;
 
 // Event::shard when the recording thread was not executing inside any
 // shard of a sharded meta-engine.
@@ -58,8 +55,6 @@ inline const char* to_string(EventType t) noexcept {
     case EventType::CrossShardEnd: return "cross-shard-end";
     case EventType::Park: return "park";
     case EventType::Unpark: return "unpark";
-    case EventType::Delegate: return "delegate";
-    case EventType::DelegateApply: return "delegate-apply";
     case EventType::RemoteRetire: return "remote-retire";
     case EventType::RemoteDrain: return "remote-drain";
   }

@@ -340,18 +340,6 @@ inline void cross_shard_end(std::size_t num_shards) noexcept {
   record(EventType::CrossShardEnd, 0,
          static_cast<std::uint32_t>(num_shards));
 }
-// Parallel combining (core/delegation.hpp): a combiner published `groups`
-// delegated groups covering `ops` operations ...
-inline void delegate_groups(std::size_t groups, std::size_t ops) noexcept {
-  record(EventType::Delegate, static_cast<std::uint8_t>(groups),
-         static_cast<std::uint32_t>(ops));
-}
-// ... and one group of `ops` operations was applied, either by its
-// delegate (true) or by the combiner's serial fallback sweep (false).
-inline void delegate_apply(bool by_delegate, std::size_t ops) noexcept {
-  record(EventType::DelegateApply, by_delegate ? 1 : 0,
-         static_cast<std::uint32_t>(ops));
-}
 // Batched reclamation (mem/pool.hpp): `n` blocks published to pool slot
 // `owner`'s MPSC inbox with one CAS ...
 inline void remote_retire_flush(std::size_t owner, std::size_t n) noexcept {

@@ -64,10 +64,6 @@ struct TraceSummary {
   std::uint64_t aborts_by_code[16] = {};
   std::uint64_t phase_completions[16] = {};
   std::uint64_t ops_selected = 0;  // summed over combine-begin events
-  std::uint64_t ops_delegated = 0;     // summed over delegate events
-  std::uint64_t delegated_groups = 0;  // summed over delegate events
-  std::uint64_t delegate_applies = 0;    // delegate-apply with code=1
-  std::uint64_t delegate_fallbacks = 0;  // delegate-apply with code=0
   std::uint64_t events_by_shard[kMaxShardSlots] = {};  // any tagged event
   std::uint64_t routed_by_shard[kMaxShardSlots] = {};  // shard-route events
   std::uint64_t cross_shard_sweeps = 0;  // all-shard-lock operations begun
@@ -111,17 +107,6 @@ inline TraceSummary collect_summary() {
           break;
         case EventType::CombineBegin:
           s.ops_selected += e.arg;
-          break;
-        case EventType::Delegate:
-          s.delegated_groups += e.code;
-          s.ops_delegated += e.arg;
-          break;
-        case EventType::DelegateApply:
-          if (e.code != 0) {
-            ++s.delegate_applies;
-          } else {
-            ++s.delegate_fallbacks;
-          }
           break;
         case EventType::ShardRoute: {
           const int slot = std::min<int>(e.code, TraceSummary::kMaxShardSlots - 1);
@@ -174,12 +159,6 @@ inline void write_summary(std::ostream& os, const TraceSummary& s) {
      << s.count(EventType::CombineBegin)
      << " ops-selected=" << s.ops_selected << " sel-lock-acquires="
      << s.count(EventType::SelLockAcquire) << '\n';
-  if (s.delegated_groups != 0 || s.delegate_fallbacks != 0) {
-    os << "[telemetry] delegation: groups=" << s.delegated_groups
-       << " ops=" << s.ops_delegated
-       << " delegate-applies=" << s.delegate_applies
-       << " combiner-fallbacks=" << s.delegate_fallbacks << '\n';
-  }
   if (s.count(EventType::RemoteRetire) != 0 ||
       s.count(EventType::RemoteDrain) != 0) {
     os << "[telemetry] reclamation: remote-flushes="
@@ -285,16 +264,6 @@ inline void write_chrome_trace(std::ostream& os) {
         case EventType::OpLatency:
           emit(tid, e, 'i', "op-sample",
                "\"latency_ns\":" + std::to_string(e.arg));
-          break;
-        case EventType::Delegate:
-          emit(tid, e, 'i', "delegate",
-               "\"groups\":" + std::to_string(e.code) +
-                   ",\"ops\":" + std::to_string(e.arg));
-          break;
-        case EventType::DelegateApply:
-          emit(tid, e, 'i',
-               e.code != 0 ? "delegate-apply" : "delegate-fallback",
-               "\"ops\":" + std::to_string(e.arg));
           break;
         case EventType::CrossShardBegin:
           ++cross_depth;

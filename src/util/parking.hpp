@@ -305,8 +305,6 @@ class TieredWait {
     yields_ = 0;
   }
 
-  WaitPolicy policy() const noexcept { return policy_; }
-
  private:
   WaitTuning tuning_;
   WaitPolicy policy_;

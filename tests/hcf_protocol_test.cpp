@@ -1,13 +1,21 @@
-// HCF protocol-level properties: exactly-once execution under contention,
-// phase accounting, helping, policy degenerations (TLE-like / FC-like), the
-// single-combiner variant, and which protocol stores take the strong path.
+// HCF protocol-level properties: exactly-once execution under contention
+// (a hot word, and unique-key hash-table inserts on a flat and a sharded
+// engine), phase accounting, helping, policy degenerations (TLE-like /
+// FC-like), the single-combiner variant, and which protocol stores take
+// the strong path.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "adapters/ht_ops.hpp"
 #include "core/engine.hpp"
+#include "ds/hash_table.hpp"
 #include "mem/ebr.hpp"
 #include "sync/tx_lock.hpp"
 #include "util/rng.hpp"
@@ -515,6 +523,72 @@ TEST(HcfProtocol, FairLocksProvideProgressForEveryThread) {
   EXPECT_EQ(finished.load(), kThreads);
   EXPECT_EQ(ds.value.get(), static_cast<std::uint64_t>(kThreads) * kOps);
   mem::EbrDomain::instance().drain();
+}
+
+// Unique-key inserts through the paper's hash-table configuration: a
+// double apply would flip the second insert's result to false (the key
+// already exists), a lost op would leave its key missing, and a double
+// retirement would inflate the completion stats past the op count. The
+// critical-section work keeps owners waiting long enough that combiners
+// select real batches.
+using HtTable = ds::HashTable<std::uint64_t, std::uint64_t>;
+using HtInsert = adapters::HtInsertOp<std::uint64_t, std::uint64_t>;
+
+template <typename Engine>
+void run_unique_inserts(Engine& engine, std::size_t threads,
+                        std::size_t ops_per_thread) {
+  std::atomic<std::uint64_t> false_results{0};
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      HtInsert ins;
+      ins.set_work(60);
+      for (std::size_t r = 0; r < ops_per_thread; ++r) {
+        const std::uint64_t key = t * ops_per_thread + r + 1;
+        ins.set(key, key * 2 + 1);
+        engine.execute(ins);
+        if (!ins.result()) false_results.fetch_add(1);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(false_results.load(), 0u)
+      << "an insert of a unique key returned false: applied twice";
+}
+
+TEST(HcfProtocol, UniqueInsertsApplyExactlyOnceOnFlatEngine) {
+  HtTable table(256);
+  HcfEngine<HtTable> engine(table, adapters::ht_paper_config(),
+                            adapters::kHtNumArrays);
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kOps = 1200;
+  run_unique_inserts(engine, kThreads, kOps);
+  EXPECT_EQ(table.size_slow(), kThreads * kOps);
+  EXPECT_TRUE(table.check_invariants());
+  // Exactly one completion per executed op.
+  EXPECT_EQ(engine.stats().total(), kThreads * kOps);
+  mem::EbrDomain::instance().drain();
+}
+
+TEST(HcfProtocol, UniqueInsertsApplyExactlyOnceAcrossShards) {
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
+    std::vector<std::unique_ptr<HtTable>> tables;
+    std::vector<HtTable*> ptrs;
+    for (std::size_t i = 0; i < shards; ++i) {
+      tables.push_back(std::make_unique<HtTable>(256));
+      ptrs.push_back(tables.back().get());
+    }
+    ShardedEngine<HcfEngine<HtTable>> engine(std::span<HtTable* const>(ptrs),
+                                             adapters::ht_paper_config(),
+                                             adapters::kHtNumArrays);
+    constexpr std::size_t kThreads = 8;
+    const std::size_t ops = shards == 2 ? 1200 : 800;
+    run_unique_inserts(engine, kThreads, ops);
+    EXPECT_EQ(engine.size(), kThreads * ops) << shards << " shards";
+    EXPECT_EQ(engine.stats_snapshot().total(), kThreads * ops)
+        << shards << " shards";
+    mem::EbrDomain::instance().drain();
+  }
 }
 
 }  // namespace

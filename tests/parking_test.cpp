@@ -302,7 +302,7 @@ TEST(OperationParking, MarkDoneWithoutParkedOwnerSkipsWake) {
 // Pure-SpinPark engine run: all four wait families (lock word, selection
 // competition, op status, ticket queue via FairTxLock engines elsewhere)
 // exercise the park path at once. A lost wake anywhere hangs the test.
-TEST(EnginePolicyFlip, AllSpinParkExactlyOnce) {
+TEST(SpinParkEngines, AllSpinParkExactlyOnce) {
   HotSpot ds;
   PhasePolicy policy = PhasePolicy::paper_default();
   policy.wait = util::WaitPolicy::SpinPark;
@@ -323,7 +323,7 @@ TEST(EnginePolicyFlip, AllSpinParkExactlyOnce) {
 
 // Flat-combining engine under SpinPark: epoch parking in the global-lock
 // waiter loop plus the session-ending wake_all_epoch_waiters.
-TEST(EnginePolicyFlip, FlatCombiningSpinParkExactlyOnce) {
+TEST(SpinParkEngines, FlatCombiningSpinParkExactlyOnce) {
   HotSpot ds;
   PhasePolicy policy = PhasePolicy::fc_like();
   policy.wait = util::WaitPolicy::SpinPark;

@@ -80,13 +80,6 @@ compiler dependency, by design):
                          cross-shard whole-structure path deadlock-free
                          (DESIGN.md §11); release order is unconstrained
                          because unlock statements do not match
-  delegated-apply-no-selection-lock
-                         the body of an apply_delegated* function must
-                         never touch the selection lock: the delegating
-                         combiner released it before publishing groups,
-                         and a claim winner re-entering selection while
-                         the combiner parks on the group's done word
-                         inverts the wait order (DESIGN.md §13)
   node-alloc-via-facade  no raw new/delete expressions in src/ds/: node
                          memory must flow through the mem:: facade
                          (htm::make / htm::retire on operation paths,
@@ -154,8 +147,6 @@ RULES: dict[str, str] = {
         "NO_THREAD_SAFETY_ANALYSIS needs an adjacent '// tsa:' comment",
     "cross-shard-lock-order":
         "all-shard lock acquisition loops must walk shard indices ascending",
-    "delegated-apply-no-selection-lock":
-        "apply_delegated* bodies must never touch the selection lock",
     "node-alloc-via-facade":
         "no raw new/delete in src/ds/; node memory goes through mem::alloc"
         "/mem::dealloc/mem::retire (htm::make/htm::retire on hot paths)",
@@ -244,13 +235,6 @@ TELEMETRY_CALL_RE = re.compile(r"\btelemetry::\w+\s*\(")
 
 TSA_ESCAPE_RE = re.compile(r"\bNO_THREAD_SAFETY_ANALYSIS\b")
 TSA_JUSTIFICATION_RE = re.compile(r"//\s*tsa:")
-
-# Delegated-apply purity: the definition matcher finds `apply_delegated*(`
-# followed by a brace-opened body (a trailing `;` before the `{` means a
-# declaration or call site, which is exempt — calls legitimately appear
-# near selection code in the combiner).
-DELEGATED_APPLY_DEF_RE = re.compile(r"\bapply_delegated\w*\s*\(")
-SELECTION_LOCK_RE = re.compile(r"\bselection_lock\b")
 
 PHASE_ENTER_RE = re.compile(r"\btelemetry::phase_enter\s*\(")
 PHASE_EXIT_RE = re.compile(r"\btelemetry::phase_exit\s*\(")
@@ -647,35 +631,6 @@ class FileLinter:
                     "`for (i = 0; i < n; ++i)` or range-for over the "
                     "shard container")
 
-    def check_delegated_apply_no_selection_lock(self) -> None:
-        if self.zone not in ("core", "src", "ds", "tests"):
-            return
-        for m in DELEGATED_APPLY_DEF_RE.finditer(self.stripped):
-            close_paren = self.match_paren(m.end() - 1)
-            if close_paren < 0:
-                continue
-            # Definition, not declaration or call: the parameter list must
-            # lead to a `{` before any `;` (specifiers like noexcept may
-            # sit between).
-            i = close_paren + 1
-            while i < len(self.stripped) and self.stripped[i] not in "{;":
-                i += 1
-            if i >= len(self.stripped) or self.stripped[i] != "{":
-                continue
-            end = self.match_brace(i)
-            if end < 0:
-                continue
-            body = self.stripped[i:end + 1]
-            for sm in SELECTION_LOCK_RE.finditer(body):
-                self.report(
-                    self.line_of(i + sm.start()),
-                    "delegated-apply-no-selection-lock",
-                    "selection-lock access inside a delegated-apply body; "
-                    "the delegating combiner released selection before "
-                    "publishing groups, and a claim winner re-entering "
-                    "selection while the combiner parks on the group's "
-                    "done word inverts the wait order (DESIGN.md §13)")
-
     def first_call_arg(self, open_paren: int) -> str | None:
         """First argument of the call whose '(' sits at `open_paren` in the
         stripped text (text up to the first depth-1 comma or the matching
@@ -838,7 +793,6 @@ class FileLinter:
         self.check_tsa_escape_justification()
         self.check_scan_requires_selection_lock()
         self.check_cross_shard_lock_order()
-        self.check_delegated_apply_no_selection_lock()
         self.check_node_alloc_via_facade()
         self.check_phase_telemetry_pairing()
         self.check_tx_bodies()

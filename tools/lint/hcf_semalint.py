@@ -36,16 +36,6 @@ Rules:
       degrades the O(1) helped-wakeup protocol back to lock re-polling
       (DESIGN.md §9.3).
 
-  sema-delegated-retire-before-publish
-      Inside an apply_delegated* body, every completion publication —
-      the group's done-word finish() or a direct publish_combined —
-      must be preceded, in statement order, by a call that performs
-      mark_done directly or transitively. finish() releases the
-      delegation session's stack storage back to the combiner and
-      publish_combined wakes waiters; doing either while group members
-      are still pending loses operations or wakes owners that observe
-      themselves unfinished (DESIGN.md §13).
-
 Requires the `clang` Python bindings plus a loadable libclang shared
 library. When either is missing the tool prints a notice and exits 77
 (the CTest SKIP_RETURN_CODE convention) so local GCC-only environments
@@ -88,9 +78,6 @@ RULES: dict[str, str] = {
     "sema-retire-before-publish":
         "publish_combined must be preceded by a (transitive) mark_done "
         "in the same function",
-    "sema-delegated-retire-before-publish":
-        "in apply_delegated* bodies, finish()/publish_combined must be "
-        "preceded by a (transitive) mark_done",
 }
 
 # Callee names that make a transaction body impure, by category. Names are
@@ -466,46 +453,9 @@ class TuAnalyzer:
                     "observe themselves pending (DESIGN.md §9.3)",
                     [])
 
-    # -- rule 4: delegated retire-before-publish ---------------------------
-
-    def check_delegated_retire_before_publish(self) -> None:
-        """Delegated-apply bodies: the group's completion publication
-        (DelegateGroup::finish, or a direct publish_combined) must come
-        after every member op is retired — the sweeping combiner frees the
-        session's stack storage the moment finish() lands."""
-        for func in self.func_defs:
-            if not (func.spelling or "").startswith("apply_delegated"):
-                continue
-            calls = [(c, self.call_name(c)) for c in self.calls_in(func)]
-            for idx, (call, name) in enumerate(calls):
-                if name not in ("finish", "publish_combined"):
-                    continue
-                ok = False
-                for before, bname in calls[:idx]:
-                    if bname == "mark_done":
-                        ok = True
-                        break
-                    if any(self.descend_ok(t) and self.marks_done(t)
-                           for t in self.callee_defs(before)):
-                        ok = True
-                        break
-                if ok:
-                    continue
-                path, line = self.location(call)
-                fq = self.qualified_name(func)
-                self.report(
-                    path, line, "sema-delegated-retire-before-publish",
-                    f"'{name}' in delegated-apply '{fq}' with no preceding "
-                    "(transitive) mark_done; publishing a delegated "
-                    "group's completion before retiring its ops releases "
-                    "session storage (or wakes owners) while operations "
-                    "are still pending (DESIGN.md §13)",
-                    [])
-
     def run(self) -> list[Finding]:
         self.check_attempt_sites()
         self.check_retire_before_publish()
-        self.check_delegated_retire_before_publish()
         return self.findings
 
 

@@ -34,7 +34,6 @@ TABLE_BENCHES = [
     "fig5_avl_tree",
     "fig6_sharded",
     "fig7_oversub",
-    "fig8_parallel_combine",
     "fig9_reclaim",
     "pq_motivation",
     "deque_two_ends",
@@ -48,11 +47,11 @@ SUBSTRATE_BENCHES = ["micro_substrate", "micro_engine"]
 # The quick profile keeps total runtime around a minute on one core: a
 # subset of benches, two thread counts, and short measurement windows.
 QUICK_BENCHES = ["fig2_hash_table", "fig4_combining_stats", "fig6_sharded",
-                 "fig7_oversub", "fig8_parallel_combine", "fig9_reclaim",
+                 "fig7_oversub", "fig9_reclaim",
                  "micro_substrate", "micro_engine"]
 QUICK_ARGS = ["--threads=1,2", "--duration-ms=50", "--warmup-ms=10"]
 QUICK_WORKLOAD = {"fig2_hash_table": "40f", "fig6_sharded": "40f",
-                  "fig7_oversub": "paper", "fig8_parallel_combine": "paper",
+                  "fig7_oversub": "paper",
                   "fig9_reclaim": "retire-micro"}
 
 
